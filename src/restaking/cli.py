@@ -8,17 +8,17 @@ Three subcommands:
 * ``incentives`` — compute the reward-scheme equilibrium for a network file
                 carrying reward pools, optionally verifying best responses.
 
-Exit codes: 0 the network is robust, 1 it is not, 2 input or capability
-error (including engine disagreement, which is itself a cross-validation
-feature). All numbers print with six decimals, matching the 1e-6 solve
-precision. Reported safe budgets are open upper bounds: a network robust
-"at budget b" withstands any budget strictly below the failure point.
+Exit codes: 0 the network is robust, 1 it is not, 2 input, capability or
+solver error (including engine disagreement, which is itself a
+cross-validation feature). All numbers print with six decimals, matching
+the 1e-6 solve precision. Reported safe budgets are open upper bounds: a
+network robust "at budget b" withstands any budget strictly below the
+failure point.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -26,7 +26,7 @@ from pathlib import Path
 from . import experiments as exp
 from . import mip as mipmod
 from .bruteforce import best_attack
-from .files import load_network, load_reward_pools
+from .files import load_json, load_network, load_reward_pools
 from .incentives import equilibrium_allocations, verify_best_response
 from .model import (
     Attack,
@@ -41,6 +41,7 @@ from .model import (
 )
 from .symmetry import (
     NotSymmetricError,
+    SearchBracketError,
     as_symmetric,
     find_beta_costly,
     to_network,
@@ -327,10 +328,7 @@ _PRESETS = {
 
 
 def cmd_sweep(args) -> int:
-    try:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.config}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    config = load_json(args.config)
     sweeps = config.get("sweeps", [])
     if not sweeps:
         print("warning: no sweeps configured, nothing to do", file=sys.stderr)
@@ -425,11 +423,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, NotSymmetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotSymmetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (mipmod.MipStatusError, mipmod.MipNodeLimitError, SearchBracketError) as exc:
+        print(f"error: solver failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,14 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import mip as mipmod
-from .model import byzantine_weight_cap
+from .model import (
+    TOLERANCE,
+    Attack,
+    Network,
+    apply_byzantine,
+    byzantine_weight_cap,
+    evaluate_attack,
+)
 from .symmetry import (
     SearchBracketError,
     SweepTemplate,
@@ -46,7 +53,6 @@ __all__ = [
     "min_stake_mip",
 ]
 
-STAKE_TOLERANCE = 1e-6
 AGREEMENT_TOLERANCE = 1e-5
 
 
@@ -84,10 +90,12 @@ def write_csv(table: Table, path: str | Path) -> None:
 
 
 def _thread_count() -> int:
+    """Worker processes from RESTAKING_THREADS, between 1 and the CPU count."""
     try:
-        return max(1, int(os.environ.get("RESTAKING_THREADS", "1")))
+        requested = int(os.environ.get("RESTAKING_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _map_cells(fn: Callable, items: list) -> list:
@@ -112,6 +120,11 @@ def degree_grid(n_services: int, step: float = 0.1, lo: float = 1.0,
     return grid
 
 
+def _degrees(grid: Sequence[float] | None, n_services: int) -> list[float]:
+    """The given degrees, or the default grid from 1 to n_services."""
+    return list(grid) if grid else degree_grid(n_services)
+
+
 def _theory_cell(args) -> float:
     template, degree, f, budget = args
     if f == 0 and budget == 0:
@@ -121,7 +134,7 @@ def _theory_cell(args) -> float:
     else:
         predicate = f_beta_robust_predicate(f, budget)
     try:
-        return min_stake_for(template, predicate, degree, STAKE_TOLERANCE)
+        return min_stake_for(template, predicate, degree)
     except SearchBracketError:
         return math.nan
 
@@ -133,19 +146,19 @@ def sweep_min_stake_security(
     degree_grid: Sequence[float] | None = None,
 ) -> Table:
     """Minimum stake for security per restaking degree, one column per threshold."""
-    degree_grid = list(degree_grid) if degree_grid else degree_grid(m)
+    degrees = _degrees(degree_grid, m)
     columns = ["restaking_degree"] + [
         f"min_stake_threshold_{theta:.2f}" for theta in thresholds
     ]
     tasks = []
-    for d in degree_grid:
+    for d in degrees:
         for theta in thresholds:
             template = SweepTemplate(n_validators=n, n_services=m, threshold=theta)
             tasks.append((template, d, 0, 0))
     values = _map_cells(_theory_cell, tasks)
     rows = []
     k = len(thresholds)
-    for i, d in enumerate(degree_grid):
+    for i, d in enumerate(degrees):
         rows.append([d] + values[i * k : (i + 1) * k])
     return Table(columns=columns, rows=rows)
 
@@ -165,7 +178,7 @@ def sweep_min_stake_robustness(
     The base variant adds a service (prize, threshold) to which every
     validator allocates their entire stake.
     """
-    degree_grid = list(degree_grid) if degree_grid else degree_grid(m)
+    degrees = _degrees(degree_grid, m)
     if base is None:
         template = SweepTemplate(n_validators=n, n_services=m, threshold=threshold,
                                  prize=prize)
@@ -179,11 +192,11 @@ def sweep_min_stake_robustness(
     ]
     result = {}
     for budget in budgets:
-        tasks = [(template, d, f, budget) for d in degree_grid for f in f_grid]
+        tasks = [(template, d, f, budget) for d in degrees for f in f_grid]
         values = _map_cells(_theory_cell, tasks)
         rows = []
         k = len(f_grid)
-        for i, d in enumerate(degree_grid):
+        for i, d in enumerate(degrees):
             rows.append([d] + values[i * k : (i + 1) * k])
         result[budget] = Table(columns=columns, rows=rows)
     return result
@@ -263,54 +276,60 @@ def sweep_failure_decomposition(
     return Table(columns=columns, rows=rows)
 
 
+def _cost_ratio(net: Network, attack: Attack, budget) -> float:
+    """(prize + budget) / cost of an attack; inf when it is free within TOLERANCE."""
+    evaluation = evaluate_attack(net, attack)
+    if evaluation.total_cost <= TOLERANCE:
+        return math.inf
+    return (evaluation.total_prize + budget) / evaluation.total_cost
+
+
 def min_stake_mip(
     template: SweepTemplate,
     degree: float,
     budget: float,
     f: float,
-    tolerance: float = STAKE_TOLERANCE,
 ) -> float:
     """Minimum stake for (f, budget)-robustness decided by the MIPs.
 
-    Binary search over the stake; each probe applies every admissible
-    Byzantine choice (deduplicated by service class) and solves the budget
-    program on the slashed network. Allocations scale with the stake, so
-    the probe is monotone.
+    Template stakes, allocations and slashing all scale with the stake, so an
+    attack costing g at stake 1 costs stake * g, and the minimum stake is the
+    largest (prize + budget) / g over admissible Byzantine choices (one per
+    service-class multiset) and attacks. Dinkelbach iteration finds it with a
+    few budget MIPs per choice. The result is the exact infimum: attackable
+    there (ties go to the attacker), robust above; nan when some choice
+    leaves an attack that costs nothing.
     """
-    weights = [template.prize / template.threshold]
-    if template.has_base():
-        weights.append(template.base_prize / template.base_threshold)
-    hi = max(weights) * (template.n_services + (1 if template.has_base() else 0))
-    lo = 0.0
-
-    def check(stake: float) -> bool:
-        net = template.build_network(stake, degree)
-        cap = byzantine_weight_cap(net, f)
-        return mipmod.mip_check(net, budget, cap).robust
-
-    doublings = 0
-    while not check(hi):
-        hi *= 2
-        doublings += 1
-        if doublings > 60:
-            raise SearchBracketError(
-                f"MIP robustness unsatisfiable at any stake; bracket [0, {hi}]"
+    unit = template.build_network(1.0, degree)
+    cap = byzantine_weight_cap(unit, f)
+    stake = 0.0
+    for subset in mipmod.distinct_byzantine_subsets(unit, cap):
+        slashed = apply_byzantine(unit, subset)
+        if not slashed.services:
+            continue  # nothing left to attack
+        # The all-out attack's ratio is a lower bound on this choice's optimum.
+        everything = Attack(stake_used=slashed.allocation)
+        stake = max(stake, _cost_ratio(slashed, everything, budget))
+        while math.isfinite(stake):
+            net = apply_byzantine(template.build_network(stake, degree), subset)
+            profit, attack = mipmod.max_attack_profit(net)
+            if not mipmod.attackable(profit, budget):
+                break
+            unit_attack = Attack(
+                stake_used={pair: a / stake for pair, a in attack.stake_used.items()}
             )
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2
-        if check(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            ratio = _cost_ratio(slashed, unit_attack, budget)
+            if ratio <= stake * (1 + 1e-12):  # slack for rounding in the ratio
+                break
+            stake = ratio
+        if math.isinf(stake):
+            return math.nan
+    return stake
 
 
 def _mip_cell(args) -> float:
     template, degree, f, budget = args
-    try:
-        return min_stake_mip(template, degree, budget, f)
-    except SearchBracketError:
-        return math.nan
+    return min_stake_mip(template, degree, budget, f)
 
 
 def sweep_mip_vs_theory(

@@ -12,19 +12,21 @@ The on-disk format is JSON (UTF-8):
 
 Omitted allocation pairs default to 0. Validation errors name the offending
 field and id. JSON integers are kept as Python ints, so integer-valued
-networks evaluate exactly.
+networks evaluate exactly. The non-standard constants NaN and Infinity are
+rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
 from .incentives import RewardPools
 from .model import InputError, Network
 
-__all__ = ["load_network", "load_network_data", "load_reward_pools"]
+__all__ = ["load_json", "load_network", "load_network_data", "load_reward_pools"]
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
@@ -36,7 +38,23 @@ def _require(obj: dict, key: str, where: str) -> Any:
 def _number(value: Any, where: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InputError(f"{where}: must be finite, got {value!r}")
     return value
+
+
+def _reject_constant(name: str):
+    raise InputError(f"non-finite number {name} is not allowed")
+
+
+def load_json(path: str | Path) -> Any:
+    """Parse a UTF-8 JSON file, reporting syntax errors as InputError."""
+    try:
+        return json.loads(
+            Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant
+        )
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
 
 
 def load_network_data(data: dict) -> Network:
@@ -113,11 +131,7 @@ def load_network_data(data: dict) -> Network:
 
 def load_network(path: str | Path) -> Network:
     """Load a network description file."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    return load_network_data(data)
+    return load_network_data(load_json(path))
 
 
 def load_reward_pools(path: str | Path) -> tuple[Network, RewardPools]:
@@ -125,10 +139,7 @@ def load_reward_pools(path: str | Path) -> tuple[Network, RewardPools]:
 
     Requires the optional "rewards" and "target_degree" fields.
     """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    data = load_json(path)
     net = load_network_data(data)
     rewards = _require(data, "rewards", "network")
     if not isinstance(rewards, dict):

@@ -22,7 +22,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from io import StringIO
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,13 +42,17 @@ __all__ = [
     "MipProblem",
     "MipSolution",
     "MipNodeLimitError",
+    "MipStatusError",
     "big_m_constants",
     "build_budget_mip",
     "build_byzantine_mip",
     "solve_mip",
+    "max_attack_profit",
+    "attackable",
     "min_budget",
     "max_byzantine_fraction",
     "RobustnessReport",
+    "distinct_byzantine_subsets",
     "mip_check",
     "write_lp_format",
 ]
@@ -82,6 +86,10 @@ class MipNodeLimitError(RuntimeError):
     def __init__(self, message: str, incumbent: MipSolution | None):
         super().__init__(message)
         self.incumbent = incumbent
+
+
+class MipStatusError(RuntimeError):
+    """A program that always has an optimum was not solved to optimality."""
 
 
 def big_m_constants(net: Network) -> tuple[float, float, float, float, float]:
@@ -432,6 +440,24 @@ def _polish(
     )
 
 
+def max_attack_profit(net: Network) -> tuple[float, Attack]:
+    """Optimal value of the budget program on net, with an attack reaching it.
+
+    Attacking every service with every allocation is always feasible, so any
+    status but OPTIMAL is a solver failure and raises MipStatusError.
+    """
+    problem = build_budget_mip(net)
+    solution = solve_mip(problem)
+    if solution.status != OPTIMAL:
+        raise MipStatusError(f"budget MIP ended {solution.status}, not optimal")
+    return solution.objective_value, _attack_from_values(problem, solution.values)
+
+
+def attackable(profit, budget) -> bool:
+    """True when an optimal attack profit clears -budget (ties to the attacker)."""
+    return profit >= -budget - _BOUNDARY_TOL
+
+
 def min_budget(net: Network) -> float:
     """Supremum of adversary budgets the network withstands.
 
@@ -440,8 +466,8 @@ def min_budget(net: Network) -> float:
     """
     if not net.services:
         return math.inf
-    solution = solve_mip(build_budget_mip(net))
-    return max(0.0, -solution.objective_value)
+    profit, _ = max_attack_profit(net)
+    return max(0.0, -profit)
 
 
 def _identical_nonbase_services(net: Network) -> bool:
@@ -461,8 +487,8 @@ def _attackable_at(net: Network, budget) -> bool:
     """True when a budget-costly attack exists (ties go to the attacker)."""
     if not net.services:
         return False
-    solution = solve_mip(build_budget_mip(net))
-    return solution.objective_value >= -budget - _BOUNDARY_TOL
+    profit, _ = max_attack_profit(net)
+    return attackable(profit, budget)
 
 
 def max_byzantine_fraction(net: Network, budget) -> float:
@@ -532,6 +558,27 @@ def _attack_from_values(problem: MipProblem, values: np.ndarray) -> Attack:
     return Attack(stake_used=used)
 
 
+def distinct_byzantine_subsets(net: Network, weight_cap) -> Iterator[tuple[str, ...]]:
+    """Admissible Byzantine subsets, one per multiset of service classes.
+
+    Services with equal threshold, prize and allocations are interchangeable,
+    so subsets drawing the same number of services from each class lead to
+    the same post-slash network up to renaming. Only the first such subset,
+    in :func:`byzantine_subsets` order, is yielded.
+    """
+    class_of = {
+        s: repr((net.threshold[s], net.prize[s], [net.w(v, s) for v in net.validators]))
+        for s in net.services
+    }
+    seen: set[tuple] = set()
+    for subset in byzantine_subsets(net, weight_cap):
+        signature = tuple(sorted(class_of[s] for s in subset))
+        if signature in seen:
+            continue
+        seen.add(signature)
+        yield subset
+
+
 def mip_check(net: Network, budget, weight_cap) -> RobustnessReport:
     """Decide robustness against a budget and a Byzantine weight cap.
 
@@ -543,27 +590,12 @@ def mip_check(net: Network, budget, weight_cap) -> RobustnessReport:
     """
     if budget < 0:
         raise InputError("budget must be non-negative")
-    class_of = {}
-    for s in net.services:
-        key = (
-            net.threshold[s],
-            net.prize[s],
-            tuple(net.w(v, s) for v in net.validators),
-        )
-        class_of[s] = key
-    seen: set[tuple] = set()
-    for subset in byzantine_subsets(net, weight_cap):
-        signature = tuple(sorted(map(repr, (class_of[s] for s in subset))))
-        if signature in seen:
-            continue
-        seen.add(signature)
+    for subset in distinct_byzantine_subsets(net, weight_cap):
         slashed = apply_byzantine(net, subset)
         if not slashed.services:
             continue  # nothing left to attack
-        problem = build_budget_mip(slashed)
-        solution = solve_mip(problem)
-        if solution.objective_value >= -budget - _BOUNDARY_TOL:
-            attack = _attack_from_values(problem, solution.values)
+        profit, attack = max_attack_profit(slashed)
+        if attackable(profit, budget):
             evaluation = evaluate_attack(slashed, attack)
             return RobustnessReport(
                 robust=False,

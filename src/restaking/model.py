@@ -115,15 +115,19 @@ class Network:
         for v in self.validators:
             if v not in self.stake:
                 raise InputError(f"missing stake for validator {v!r}")
-            if self.stake[v] < 0:
-                raise InputError(f"stake: must be non-negative (validator {v!r})")
+            if not 0 <= self.stake[v] < math.inf:
+                raise InputError(
+                    f"stake: must be non-negative and finite (validator {v!r})"
+                )
         for s in self.services:
             if s not in self.threshold or s not in self.prize:
                 raise InputError(f"missing threshold or prize for service {s!r}")
             if not (0 <= self.threshold[s] <= 1):
                 raise InputError(f"threshold: must lie in [0, 1] (service {s!r})")
-            if self.prize[s] <= 0:
-                raise InputError(f"prize: must be positive (service {s!r})")
+            if not 0 < self.prize[s] < math.inf:
+                raise InputError(
+                    f"prize: must be positive and finite (service {s!r})"
+                )
         for (v, s), w in self.allocation.items():
             if v not in vset:
                 raise InputError(f"allocation: unknown validator {v!r}")

@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import json
 
+from restaking import mip
+from restaking.bruteforce import best_attack
 from restaking.cli import main
+from restaking.lp import INFEASIBLE
+from restaking.model import apply_byzantine, byzantine_subsets, byzantine_weight_cap
+from restaking.symmetry import SweepTemplate
 
 FIG_ATOMIC = {
     "validators": [{"id": "v1", "stake": 20}, {"id": "v2", "stake": 20}],
@@ -103,6 +108,24 @@ class TestCheck:
         assert main(["check", path, "--oracle"]) == 2
         assert "brute-force" in capsys.readouterr().err
 
+    def test_nan_stake_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(
+            json.dumps(FIG_ATOMIC).replace('"stake": 20', '"stake": NaN', 1),
+            encoding="utf-8",
+        )
+        assert main(["check", str(path), "--mip"]) == 2
+        assert "NaN" in capsys.readouterr().err
+
+    def test_solver_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            mip, "solve_mip", lambda problem: mip.MipSolution(status=INFEASIBLE)
+        )
+        path = write(tmp_path, "net.json", FIG_ATOMIC)
+        assert main(["check", path, "--mip"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestSweep:
     def test_fig3_preset_writes_three_files(self, tmp_path, capsys):
@@ -155,6 +178,46 @@ class TestSweep:
         assert main(["sweep", config, "--out", str(out)]) == 0
         lines = (out / "tiny.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_custom_sweep_defaults_degrees(self, tmp_path):
+        config = write(
+            tmp_path, "sweeps.json",
+            {"sweeps": [{"name": "custom", "kind": "security", "file": "d.csv",
+                         "n": 2, "m": 2, "thresholds": [0.5]}]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", config, "--out", str(out)]) == 0
+        lines = (out / "d.csv").read_text().splitlines()
+        assert lines[1].startswith("1.000000,") and lines[-1].startswith("2.000000,")
+
+    def test_fig7_preset_agrees(self, tmp_path):
+        config = write(
+            tmp_path, "sweeps.json",
+            {"sweeps": [{"name": "fig7", "budgets": [1], "degrees": [2.0],
+                         "f_values": [1 / 3]}]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", config, "--out", str(out)]) == 0
+        row = (out / "figure7_budget_1.csv").read_text().splitlines()[1]
+        assert row.endswith(",true")
+
+    def test_fig8_unsatisfiable_cell_is_nan(self, tmp_path):
+        config = write(
+            tmp_path, "sweeps.json",
+            {"sweeps": [{"name": "fig8", "budgets": [0], "degrees": [1.5],
+                         "f_grid": [2 / 3]}]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", config, "--out", str(out)]) == 0
+        name = "figure8_y_stake_base_service_10_0.50_loss_threshold_0.csv"
+        assert (out / name).read_text().splitlines()[1] == "1.500000,nan"
+        # Slashing two services wipes every stake, so even a huge stake fails.
+        net = SweepTemplate(3, 3, 1 / 3, 1.0, 10.0, 0.5).build_network(1e6, 1.5)
+        cap = byzantine_weight_cap(net, 2 / 3)
+        assert any(
+            best_attack(apply_byzantine(net, subset))[0] >= 0
+            for subset in byzantine_subsets(net, cap)
+        )
 
     def test_unknown_preset_rejected(self, tmp_path, capsys):
         config = write(tmp_path, "sweeps.json", {"sweeps": [{"name": "zzz"}]})

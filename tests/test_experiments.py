@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from restaking.bruteforce import best_attack
 from restaking.experiments import (
     Table,
+    _thread_count,
     degree_grid,
+    min_stake_mip,
     sweep_failure_decomposition,
     sweep_failure_threshold,
     sweep_min_stake_mip,
@@ -15,7 +21,17 @@ from restaking.experiments import (
     sweep_mip_vs_theory,
     write_csv,
 )
+from restaking.model import apply_byzantine, byzantine_subsets, byzantine_weight_cap
 from restaking.symmetry import SweepTemplate
+
+
+def oracle_attackable(net, budget, fraction) -> bool:
+    """Exhaustive search: some admissible Byzantine set leaves a budget-costly attack."""
+    for subset in byzantine_subsets(net, byzantine_weight_cap(net, fraction)):
+        slashed = apply_byzantine(net, subset)
+        if slashed.services and best_attack(slashed)[0] >= -budget - 1e-9:
+            return True
+    return False
 
 
 class TestSecuritySweep:
@@ -145,6 +161,31 @@ class TestMipVsTheory:
             assert a == pytest.approx(b, abs=1e-6)
 
 
+class TestMinStakeMip:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        degree=st.floats(1.0, 3.0),
+        f=st.sampled_from([0.0, 1 / 3, 1 / 2, 2 / 3]),
+        budget=st.floats(0.0, 2.0),
+        with_base=st.booleans(),
+    )
+    def test_exact_infimum_and_homogeneous(self, degree, f, budget, with_base):
+        def template(c):
+            base = dict(base_prize=10.0 * c, base_threshold=0.5) if with_base else {}
+            return SweepTemplate(3, 3, 1 / 3, prize=1.0 * c, **base)
+
+        stake = min_stake_mip(template(1), degree, budget, f)
+        scaled = min_stake_mip(template(3), degree, 3 * budget, f)
+        net_at = lambda s: template(1).build_network(s, degree)
+        if math.isnan(stake):
+            assert math.isnan(scaled)
+            assert oracle_attackable(net_at(1e6), budget, f)
+            return
+        assert oracle_attackable(net_at(stake), budget, f)
+        assert not oracle_attackable(net_at(stake * (1 + 1e-6)), budget, f)
+        assert scaled == pytest.approx(3 * stake, rel=1e-9)
+
+
 class TestCsv:
     def test_deterministic_output(self, tmp_path):
         table = sweep_min_stake_security(4, 4, [0.5], [1.0, 2.0])
@@ -170,6 +211,13 @@ def test_degree_grid_bounds():
     grid = degree_grid(3, 0.5)
     assert grid[0] == 1.0 and grid[-1] == 3.0
     assert len(grid) == 5
+
+
+def test_thread_count_clamped_to_cpus(monkeypatch):
+    monkeypatch.setenv("RESTAKING_THREADS", str(10 ** 6))
+    assert _thread_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("RESTAKING_THREADS", "0")
+    assert _thread_count() == 1
 
 
 def test_parallel_map_matches_serial(monkeypatch):

@@ -66,6 +66,15 @@ def test_errors_name_field_and_id(tmp_path, mutate, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_numbers_rejected(tmp_path, text):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(BASE).replace('"prize": 5', f'"prize": {text}'),
+                    encoding="utf-8")
+    with pytest.raises(InputError):
+        load_network(path)
+
+
 def test_invalid_json_reports_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{\n  broken", encoding="utf-8")

@@ -403,3 +403,29 @@ class TestModelInvariants:
                 if s in byz:
                     continue
                 assert after.w(v, s) == min(w, after.stake[v])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("stake", math.nan),
+        ("stake", math.inf),
+        ("allocation", math.nan),
+        ("threshold", math.nan),
+        ("prize", math.nan),
+        ("prize", math.inf),
+    ],
+)
+def test_non_finite_numbers_rejected(field, value):
+    data = dict(
+        validators=("v",),
+        services=("s",),
+        stake={"v": 2.0},
+        allocation={("v", "s"): 1.0},
+        threshold={"s": 0.5},
+        prize={"s": 1.0},
+    )
+    key = next(iter(data[field]))
+    data[field] = {key: value}
+    with pytest.raises(InputError):
+        Network(**data)
