@@ -134,16 +134,20 @@ def _oracle_verdict(net: Network, budget, cap) -> _Verdict:
 def cmd_check(args) -> int:
     net = load_network(args.network)
     budget = args.budget
-    if budget < 0:
+    if not budget >= 0:  # written so that NaN fails too
         raise InputError("--budget must be non-negative")
-    if args.weight_cap is not None and args.fraction:
+    if args.weight_cap is not None and args.fraction is not None:
         raise InputError("--fraction and --weight-cap are mutually exclusive")
     if args.weight_cap is not None:
         cap = args.weight_cap
+        if not cap >= 0:
+            raise InputError("--weight-cap must be non-negative")
         total = total_byzantine_weight(net)
-        fraction = cap / total if total > 0 else 0.0
+        fraction = min(1.0, cap / total) if total > 0 else 0.0
     else:
-        fraction = args.fraction
+        fraction = 0.0 if args.fraction is None else args.fraction
+        if not 0 <= fraction <= 1:
+            raise InputError("--fraction must lie in [0, 1]")
         cap = byzantine_weight_cap(net, fraction)
 
     if args.dump_mip:
@@ -327,9 +331,34 @@ _PRESETS = {
 }
 
 
-def cmd_sweep(args) -> int:
-    config = load_json(args.config)
+# Preset parameters that hold a grid: a list of numbers.
+_GRID_KEYS = ("sizes", "thresholds", "budgets", "degrees", "f_grid", "f_values", "stakes")
+
+
+def _sweep_entries(config) -> list[dict]:
+    """The config's sweep entries, after checking the shape the presets read."""
+    if not isinstance(config, dict):
+        raise InputError("sweep config must be a JSON object")
     sweeps = config.get("sweeps", [])
+    if not isinstance(sweeps, list) or not all(isinstance(e, dict) for e in sweeps):
+        raise InputError("'sweeps' must be a list of objects")
+    for entry in sweeps:
+        for key in _GRID_KEYS:
+            grid = entry.get(key)
+            if grid is None:
+                continue
+            if not isinstance(grid, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in grid
+            ):
+                raise InputError(
+                    f"sweep {entry.get('name')!r}: {key!r} must be a list of finite numbers"
+                )
+    return sweeps
+
+
+def cmd_sweep(args) -> int:
+    sweeps = _sweep_entries(load_json(args.config))
     if not sweeps:
         print("warning: no sweeps configured, nothing to do", file=sys.stderr)
         return 0
@@ -392,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("network", help="network description JSON file")
     check.add_argument("--budget", type=float, default=0.0,
                        help="adversary budget (default 0)")
-    check.add_argument("--fraction", type=float, default=0.0,
+    check.add_argument("--fraction", type=float, default=None,
                        help="Byzantine weight cap as a fraction of the total "
                             "non-base weight (default 0)")
     check.add_argument("--weight-cap", type=float, default=None,

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, solve_lp
+from .lp import INFEASIBLE, OPTIMAL, LpProblem, LpSolution, solve_lp
 from .model import (
     Attack,
     InputError,
@@ -321,110 +321,63 @@ def build_byzantine_mip(net: Network, budget) -> MipProblem:
     return MipProblem(lp=lp, integral=integral, variable_names=names)
 
 
-def _node_lp(base: LpProblem, fixed: dict[int, int]) -> LpProblem:
-    bounds = list(base.bounds or [(0.0, None)] * base.n_variables())
-    for idx, val in fixed.items():
-        bounds[idx] = (float(val), float(val))
-    return LpProblem(
-        objective=base.objective,
-        sense=base.sense,
-        constraints=base.constraints,
-        bounds=bounds,
-    )
-
-
 def solve_mip(problem: MipProblem, node_limit: int = 200_000) -> MipSolution:
     """Branch-and-bound over the binary variables.
 
     Best-first on the relaxation bound, branching on the most fractional
-    binary (ties to the lowest index), so runs are deterministic. The
-    returned optimum is proven to within the 1e-6 gap; exceeding the node
-    budget raises :class:`MipNodeLimitError` with the incumbent attached.
+    binary (ties to the lowest index), so runs are deterministic. Each child
+    is solved warm from its parent's final tableau with the branched binary
+    fixed. The returned optimum is proven to within the 1e-6 gap; exceeding
+    the node budget raises :class:`MipNodeLimitError` with the incumbent
+    attached.
     """
-    maximize = problem.lp.sense == "max"
-    direction = -1.0 if maximize else 1.0  # heap always pops the best bound
-    integral = sorted(problem.integral)
+    direction = -1.0 if problem.lp.sense == "max" else 1.0  # heap pops the best bound
+    integral = np.array(sorted(problem.integral), dtype=int)
 
-    root = solve_lp(_node_lp(problem.lp, {}))
-    if root.status == INFEASIBLE:
-        return MipSolution(status=INFEASIBLE)
-    if root.status == UNBOUNDED:
-        return MipSolution(status=UNBOUNDED)
+    root = solve_lp(problem.lp)
+    if root.status != OPTIMAL:
+        return MipSolution(status=root.status)
 
-    counter = 0
-    heap: list[tuple[float, int, dict[int, int], LpSolution]] = [
-        (direction * root.objective_value, counter, {}, root)
-    ]
+    heap: list[tuple[float, int, LpSolution]] = [(direction * root.objective_value, 0, root)]
+    counter = nodes = 0
     incumbent: LpSolution | None = None
-    incumbent_fixed: dict[int, int] = {}
-    incumbent_obj = -math.inf if maximize else math.inf
-    nodes = 0
-
-    def better(a: float, b: float) -> bool:
-        return a > b if maximize else a < b
+    cutoff = math.inf  # the incumbent's heap key; only nodes below it can improve
 
     while heap:
-        _, _, fixed, relax = heapq.heappop(heap)
-        bound = relax.objective_value
-        if incumbent is not None and not better(bound, incumbent_obj):
+        key, _, relax = heapq.heappop(heap)
+        if key >= cutoff:
             continue
         nodes += 1
         if nodes > node_limit:
-            inc = None
-            if incumbent is not None:
-                inc = _polish(problem, incumbent_fixed, incumbent)
-            raise MipNodeLimitError(
-                f"node limit {node_limit} exceeded", incumbent=inc
-            )
-        x = relax.values
-        fractional = [
-            (abs(x[k] - round(x[k])), k) for k in integral if k not in fixed
-        ]
-        worst = max(fractional, default=(0.0, -1))
-        if worst[0] <= PRECISION:
-            if incumbent is None or better(relax.objective_value, incumbent_obj):
-                incumbent = relax
-                incumbent_obj = relax.objective_value
-                incumbent_fixed = dict(fixed)
+            inc = None if incumbent is None else _polish(problem, incumbent)
+            raise MipNodeLimitError(f"node limit {node_limit} exceeded", incumbent=inc)
+        binaries = relax.values[integral]
+        fractional = np.abs(binaries - np.round(binaries))
+        if not integral.size or fractional.max() <= PRECISION:
+            incumbent, cutoff = relax, key
             continue
         # Most fractional binary; ties resolved toward the lowest index.
-        frac, branch_var = max(
-            fractional, key=lambda item: (item[0], -item[1])
-        )
+        branch_var = int(integral[fractional.argmax()])
         for value in (0, 1):
-            child_fixed = dict(fixed)
-            child_fixed[branch_var] = value
-            child = solve_lp(_node_lp(problem.lp, child_fixed))
-            if child.status != OPTIMAL:
-                continue
-            if incumbent is not None and not better(
-                child.objective_value, incumbent_obj
-            ):
-                continue
-            counter += 1
-            heapq.heappush(
-                heap,
-                (direction * child.objective_value, counter, child_fixed, child),
-            )
+            child = solve_lp(problem.lp, start=relax, fix={branch_var: value})
+            if child.status == OPTIMAL and direction * child.objective_value < cutoff:
+                counter += 1
+                heapq.heappush(heap, (direction * child.objective_value, counter, child))
 
     if incumbent is None:
         return MipSolution(status=INFEASIBLE)
-    polished = _polish(problem, incumbent_fixed, incumbent)
-    return polished
+    return _polish(problem, incumbent)
 
 
-def _polish(
-    problem: MipProblem, fixed: dict[int, int], incumbent: LpSolution
-) -> MipSolution:
+def _polish(problem: MipProblem, incumbent: LpSolution) -> MipSolution:
     """Re-solve with every binary pinned at its rounded value.
 
     Guarantees the reported solution is feasible after rounding and that the
     continuous variables are consistent with the integral assignment.
     """
-    full = dict(fixed)
-    for k in problem.integral:
-        full[k] = int(round(incumbent.values[k]))
-    clean = solve_lp(_node_lp(problem.lp, full))
+    integral = sorted(problem.integral)
+    rounded = np.round(incumbent.values[integral])
+    clean = solve_lp(problem.lp, start=incumbent, fix=dict(zip(integral, rounded)))
     if clean.status != OPTIMAL:  # cannot happen for a true incumbent
         return MipSolution(
             status=OPTIMAL,
@@ -470,25 +423,19 @@ def min_budget(net: Network) -> float:
     return max(0.0, -profit)
 
 
+def _service_class(net: Network, s: str) -> tuple:
+    """Services with equal threshold, prize and allocations are interchangeable."""
+    return net.threshold[s], net.prize[s], tuple(net.w(v, s) for v in net.validators)
+
+
 def _identical_nonbase_services(net: Network) -> bool:
     eligible = [s for s in net.services if s not in net.base_services]
-    if len(eligible) <= 1:
-        return True
-    first = eligible[0]
-    return all(
-        net.prize[s] == net.prize[first]
-        and net.threshold[s] == net.threshold[first]
-        and all(net.w(v, s) == net.w(v, first) for v in net.validators)
-        for s in eligible[1:]
-    )
+    return len({_service_class(net, s) for s in eligible}) <= 1
 
 
 def _attackable_at(net: Network, budget) -> bool:
     """True when a budget-costly attack exists (ties go to the attacker)."""
-    if not net.services:
-        return False
-    profit, _ = max_attack_profit(net)
-    return attackable(profit, budget)
+    return bool(net.services) and attackable(max_attack_profit(net)[0], budget)
 
 
 def max_byzantine_fraction(net: Network, budget) -> float:
@@ -561,15 +508,12 @@ def _attack_from_values(problem: MipProblem, values: np.ndarray) -> Attack:
 def distinct_byzantine_subsets(net: Network, weight_cap) -> Iterator[tuple[str, ...]]:
     """Admissible Byzantine subsets, one per multiset of service classes.
 
-    Services with equal threshold, prize and allocations are interchangeable,
-    so subsets drawing the same number of services from each class lead to
-    the same post-slash network up to renaming. Only the first such subset,
-    in :func:`byzantine_subsets` order, is yielded.
+    Subsets drawing the same number of services from each class of
+    interchangeable services lead to the same post-slash network up to
+    renaming. Only the first such subset, in :func:`byzantine_subsets`
+    order, is yielded.
     """
-    class_of = {
-        s: repr((net.threshold[s], net.prize[s], [net.w(v, s) for v in net.validators]))
-        for s in net.services
-    }
+    class_of = {s: _service_class(net, s) for s in net.services}
     seen: set[tuple] = set()
     for subset in byzantine_subsets(net, weight_cap):
         signature = tuple(sorted(class_of[s] for s in subset))

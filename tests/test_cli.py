@@ -80,6 +80,28 @@ class TestCheck:
         assert main(["check", path, "--budget", "2"]) == 0
         assert main(["check", path, "--budget", "2", "--fraction", str(1 / 3)]) == 1
 
+    def test_fraction_and_weight_cap_exclusive(self, tmp_path, capsys):
+        path = write(tmp_path, "net.json", FIG_ATOMIC)
+        assert main(["check", path, "--fraction", "0", "--weight-cap", "100"]) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+
+    def test_out_of_range_flags_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, "net.json", FIG_ATOMIC)
+        for flags in (["--fraction", "1.5"], ["--fraction", "-0.1"], ["--fraction", "nan"],
+                      ["--weight-cap", "-1"], ["--weight-cap", "nan"], ["--budget", "nan"]):
+            assert main(["check", path, *flags]) == 2, flags
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_weight_cap_above_total_prints_fraction_one(self, tmp_path, capsys):
+        # The one service weighs prize / threshold = 10, so a cap of 100
+        # admits every Byzantine set, as f = 1 does.
+        path = write(tmp_path, "net.json", FIG_ATOMIC)
+        code = main(["check", path, "--budget", "14", "--weight-cap", "100"])
+        out = capsys.readouterr().out
+        assert "f=1.000000" in out
+        assert code == main(["check", path, "--budget", "14", "--fraction", "1"])
+
     def test_dump_mip(self, tmp_path):
         path = write(tmp_path, "net.json", FIG_ATOMIC)
         dump = tmp_path / "program.lp"
@@ -218,6 +240,16 @@ class TestSweep:
             best_attack(apply_byzantine(net, subset))[0] >= 0
             for subset in byzantine_subsets(net, cap)
         )
+
+    def test_malformed_configs_rejected(self, tmp_path, capsys):
+        for payload in ([], {"sweeps": {"name": "fig5"}}, {"sweeps": ["fig5"]},
+                        {"sweeps": [{"name": "fig5", "degrees": "abc"}]},
+                        {"sweeps": [{"name": "fig5", "degrees": [1.0, "2"]}]},
+                        {"sweeps": [{"name": "fig7", "budgets": [True]}]}):
+            config = write(tmp_path, "sweeps.json", payload)
+            assert main(["sweep", config, "--out", str(tmp_path / "out")]) == 2, payload
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_unknown_preset_rejected(self, tmp_path, capsys):
         config = write(tmp_path, "sweeps.json", {"sweeps": [{"name": "zzz"}]})

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from restaking import lp
 from restaking.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 from restaking.model import InputError
 
@@ -107,3 +108,93 @@ def test_optimum_attained_and_undominated():
             if feasible_within(p, point):
                 assert float(c @ point) <= sol.objective_value + 1e-7
     assert solved >= 20
+
+
+def random_boxed_lp(rng: np.random.Generator) -> LpProblem:
+    """A feasible LP with every column boxed and rows of every relation."""
+    n = int(rng.integers(2, 8))
+    lo = rng.uniform(-1.0, 1.0, size=n)
+    hi = lo + rng.uniform(0.5, 3.0, size=n)
+    point = rng.uniform(lo, hi)
+    rows = []
+    for _ in range(int(rng.integers(1, 9))):
+        coeffs = rng.normal(size=n) * (rng.random(n) < 0.7)
+        activity = float(coeffs @ point)
+        rel = str(rng.choice(["<=", ">=", "=="], p=[0.45, 0.45, 0.1]))
+        slack = 0.0 if rel == "==" else float(rng.uniform(0.0, 1.0))
+        rows.append((list(coeffs), rel, activity + (slack if rel == "<=" else -slack)))
+    return LpProblem(objective=list(rng.normal(size=n)), sense=str(rng.choice(["min", "max"])),
+                     constraints=rows, bounds=list(zip(lo, hi)))
+
+
+def test_warm_start_matches_cold():
+    # Pin columns one after another, as branch and bound does: each solve
+    # starts warm from the one before, and must agree with a cold solve of
+    # the same bounds.
+    rng = np.random.default_rng(2718)
+    infeasible = 0
+    for _ in range(150):
+        problem = random_boxed_lp(rng)
+        warm = solve_lp(problem)
+        assert warm.status == OPTIMAL
+        bounds = list(problem.bounds)
+        for col in rng.permutation(len(bounds))[:3]:
+            lo, hi = bounds[col]
+            value = float(rng.choice([lo, hi, rng.uniform(lo, hi)]))
+            bounds[col] = (value, value)
+            child = solve_lp(problem, start=warm, fix={int(col): value})
+            cold = solve_lp(LpProblem(objective=problem.objective, sense=problem.sense,
+                                      constraints=problem.constraints, bounds=list(bounds)))
+            assert child.status == cold.status
+            if cold.status != OPTIMAL:
+                infeasible += 1
+                break
+            assert abs(child.objective_value - cold.objective_value) <= 1e-9 * max(
+                1.0, abs(cold.objective_value))
+            assert feasible_within(LpProblem(objective=problem.objective,
+                                             constraints=problem.constraints,
+                                             bounds=list(bounds)), child.values)
+            warm = child
+    assert infeasible >= 10
+
+
+BEALE = LpProblem(
+    objective=[-0.75, 20.0, -0.5, 6.0],
+    sense="min",
+    constraints=[
+        ([0.25, -8.0, -1.0, 9.0], "<=", 0.0),
+        ([0.5, -12.0, -0.5, 3.0], "<=", 0.0),
+        ([0.0, 0.0, 1.0, 0.0], "<=", 1.0),
+    ],
+)
+
+
+@pytest.mark.parametrize("bounds", [None, [(0.0, 10.0)] * 4])
+def test_beale_cycling_example_terminates(bounds):
+    # Beale's example cycles under the textbook largest-coefficient rule.
+    sol = solve_lp(LpProblem(objective=BEALE.objective, sense="min",
+                             constraints=BEALE.constraints, bounds=bounds))
+    assert sol.status == OPTIMAL
+    assert sol.objective_value == pytest.approx(-1.25, abs=1e-12)
+    np.testing.assert_allclose(sol.values, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+
+def test_bland_rule_from_the_first_pivot(monkeypatch):
+    # With no degenerate pivots allowed before Bland's rule, every pass runs
+    # under it; the optima must not change.
+    rng = np.random.default_rng(31)
+    problems = [random_boxed_lp(rng) for _ in range(40)]
+    problems.append(BEALE)
+    # Highly degenerate: every row is tight at the origin.
+    problems.append(LpProblem(
+        objective=[-1.0] * 6, sense="min",
+        constraints=[([float(v) for v in rng.integers(0, 2, size=6)], "<=", 0.0)
+                     for _ in range(12)] + [([1.0] * 6, "<=", 1.0)],
+        bounds=[(0.0, 1.0)] * 6,
+    ))
+    default = [solve_lp(p) for p in problems]
+    monkeypatch.setattr(lp, "_DEGENERATE_RUN", 0)
+    for problem, expected in zip(problems, default):
+        sol = solve_lp(problem)
+        assert sol.status == expected.status == OPTIMAL
+        assert sol.objective_value == pytest.approx(expected.objective_value, abs=1e-9)

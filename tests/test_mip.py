@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from restaking import mip
 from restaking.bruteforce import best_attack, min_budget_bruteforce
 from restaking.lp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp
 from restaking.mip import (
@@ -334,6 +335,38 @@ class TestSolveMip:
                 if child.status == OPTIMAL:
                     assert child.objective_value <= root.objective_value + 1e-9
         assert checked >= 3
+
+    def test_warm_children_match_cold(self, monkeypatch):
+        # Every node LP starts from its parent's final tableau with one more
+        # binary pinned; a cold solve with the same binaries pinned must agree.
+        pinned: dict[int, tuple] = {}  # id(solution) -> (solution, its pins)
+
+        def checked(problem, start=None, fix=None):
+            pins = {**(pinned[id(start)][1] if start is not None else {}), **(fix or {})}
+            sol = solve_lp(problem, start=start, fix=fix)
+            if start is not None:
+                bounds = list(problem.bounds)
+                for k, value in pins.items():
+                    bounds[k] = (float(value), float(value))
+                cold = solve_lp(LpProblem(objective=problem.objective, sense=problem.sense,
+                                          constraints=problem.constraints, bounds=bounds))
+                assert sol.status == cold.status
+                if cold.status == OPTIMAL:
+                    assert sol.objective_value == pytest.approx(
+                        cold.objective_value, rel=1e-9, abs=1e-9)
+                checks.append(1)
+            pinned[id(sol)] = (sol, pins)
+            return sol
+
+        checks: list[int] = []
+        monkeypatch.setattr(mip, "solve_lp", checked)
+        rng = random.Random(48)
+        for size in (3, 3, 4, 5, 6):
+            net = random_network(rng, max_validators=size, max_services=size)
+            solve_mip(build_budget_mip(net))
+            if size == 3:
+                solve_mip(build_byzantine_mip(net, 0.0))
+        assert len(checks) >= 200
 
 
 class TestMipCheck:
