@@ -5,75 +5,14 @@ services, evaluates attacks and slashing cascades, decides cryptoeconomic
 security and robustness via exact symmetric-case algorithms, exhaustive
 oracles, and mixed-integer programs, and analyzes the reward scheme that
 steers validators toward a target restaking degree.
+
+Each layer lives in its own module (``model``, ``files``, ``lp``, ``mip``,
+``bruteforce``, ``symmetry``, ``incentives``, ``experiments``, ``cli``);
+the package namespace re-exports the names of the README's example.
 """
 
-from .model import (
-    Attack,
-    AttackEvaluation,
-    InputError,
-    Network,
-    PrizeShares,
-    apply_byzantine,
-    attacked_services,
-    byzantine_subsets,
-    byzantine_weight_cap,
-    eigenlayer_condition,
-    evaluate_attack,
-    generalized_eigenlayer_condition,
-    is_beta_costly,
-    is_profitable,
-    prize_shares,
-    restaking_degree,
-    robustness_utility,
-    security_utility,
-    service_weight,
-    total_byzantine_weight,
-)
-from .files import load_network, load_network_data, load_reward_pools
-from .lp import LpProblem, LpSolution, solve_lp
-from .mip import (
-    MipProblem,
-    MipSolution,
-    big_m_constants,
-    build_budget_mip,
-    build_byzantine_mip,
-    max_byzantine_fraction,
-    min_budget,
-    mip_check,
-    solve_mip,
-    write_lp_format,
-)
-from .bruteforce import (
-    best_attack,
-    best_indivisible_attack,
-    build_divisible_reduction,
-    build_indivisible_reduction,
-    has_profitable_indivisible_attack,
-    min_budget_bruteforce,
-    min_cost_attack,
-    subset_sum_bruteforce,
-)
-from .symmetry import (
-    NotSymmetricError,
-    SweepTemplate,
-    SymmetricNetwork,
-    as_symmetric,
-    consolidated_attack,
-    consolidated_cost,
-    find_beta_costly,
-    is_beta_robust,
-    is_f_beta_robust,
-    is_secure,
-    max_budget,
-    min_stake_for,
-    to_network,
-)
-from .incentives import (
-    RewardPools,
-    equilibrium_allocations,
-    formation_utility,
-    validator_reward,
-    verify_best_response,
-)
+from .mip import min_budget, mip_check
+from .model import Network
+from .symmetry import as_symmetric, max_budget
 
 __version__ = "0.1.0"

@@ -39,23 +39,10 @@ from .model import (
     restaking_degree,
     total_byzantine_weight,
 )
-from .symmetry import (
-    NotSymmetricError,
-    SearchBracketError,
-    as_symmetric,
-    find_beta_costly,
-    to_network,
-)
+from .symmetry import NotSymmetricError, as_symmetric, find_beta_costly
 
 _ORACLE_LIMIT = 8  # exhaustive search stays tractable up to this many of each
 _MIP_LIMIT = 40  # binaries in the budget program at desk scale
-
-
-class _Verdict:
-    def __init__(self, engine: str, robust: bool, detail: str = ""):
-        self.engine = engine
-        self.robust = robust
-        self.detail = detail
 
 
 def _fmt(x) -> str:
@@ -88,47 +75,71 @@ def _describe_attack(net: Network, attack: Attack) -> list[str]:
     return lines
 
 
-def _symmetric_verdict(net: Network, budget, fraction) -> _Verdict | None:
-    try:
-        sym = as_symmetric(net)
-    except NotSymmetricError:
-        return None
-    violation = find_beta_costly(sym, fraction, budget)
+def _symmetric_engine(net: Network, budget, cap) -> tuple | None:
+    violation = find_beta_costly(as_symmetric(net), budget, weight_cap=cap)
     if violation is None:
-        return _Verdict("symmetric", True)
-    lines = []
-    if violation.byzantine:
-        lines.append("  byzantine services: " + ", ".join(violation.byzantine))
-    slashed = apply_byzantine(to_network(sym), violation.byzantine)
-    lines.extend(_describe_attack(slashed, violation.attack))
-    return _Verdict("symmetric", False, "\n".join(lines))
+        return None
+    # The closed form names validators v1..vn; map them onto the file's ids.
+    ids = {f"v{i + 1}": v for i, v in enumerate(net.validators)}
+    attack = Attack(stake_used={
+        (ids[v], s): a for (v, s), a in violation.attack.stake_used.items()
+    })
+    return violation.byzantine, attack
 
 
-def _mip_verdict(net: Network, budget, cap) -> _Verdict:
+def _mip_engine(net: Network, budget, cap) -> tuple | None:
     report = mipmod.mip_check(net, budget, cap)
-    if report.robust:
-        return _Verdict("mip", True)
-    lines = []
-    if report.byzantine:
-        lines.append("  byzantine services: " + ", ".join(report.byzantine))
-    slashed = apply_byzantine(net, report.byzantine)
-    lines.extend(_describe_attack(slashed, report.attack))
-    return _Verdict("mip", False, "\n".join(lines))
+    return None if report.robust else (report.byzantine, report.attack)
 
 
-def _oracle_verdict(net: Network, budget, cap) -> _Verdict:
+def _oracle_engine(net: Network, budget, cap) -> tuple | None:
     for subset in byzantine_subsets(net, cap):
         slashed = apply_byzantine(net, subset)
         if not slashed.services:
             continue
         margin, attack = best_attack(slashed)
         if margin >= -budget - 1e-9:
-            lines = []
-            if subset:
-                lines.append("  byzantine services: " + ", ".join(subset))
-            lines.extend(_describe_attack(slashed, attack))
-            return _Verdict("brute-force", False, "\n".join(lines))
-    return _Verdict("brute-force", True)
+            return subset, attack
+    return None
+
+
+#: Decision engines by name. Each returns the witness ``(byzantine services,
+#: attack on the network they leave)`` of a violation, or None when the
+#: network is robust against ``budget`` after any Byzantine choice of weight
+#: at most ``cap``.
+_ENGINES = {
+    "symmetric": _symmetric_engine,
+    "mip": _mip_engine,
+    "brute-force": _oracle_engine,
+}
+
+
+def _engine_names(net: Network, force_mip: bool, oracle: bool) -> list[str]:
+    """Engines to run: closed form if symmetric, MIP if forced or not, oracle on request."""
+    try:
+        as_symmetric(net)
+        names = ["symmetric"]
+    except NotSymmetricError:
+        names = []
+    if force_mip or not names:
+        n_bin = len(net.validators) + len(net.services)
+        if n_bin > _MIP_LIMIT:
+            raise InputError(
+                f"network too large for the MIP engine ({n_bin} binaries > "
+                f"{_MIP_LIMIT}); no engine can decide it"
+            )
+        names.append("mip")
+    if oracle:
+        if (
+            len(net.validators) > _ORACLE_LIMIT
+            or len(net.services) > _ORACLE_LIMIT
+        ):
+            raise InputError(
+                f"network too large for the brute-force oracle "
+                f"(limit {_ORACLE_LIMIT} validators/services)"
+            )
+        names.append("brute-force")
+    return names
 
 
 def cmd_check(args) -> int:
@@ -157,53 +168,30 @@ def cmd_check(args) -> int:
         )
         print(f"wrote MIP dump to {args.dump_mip}")
 
-    verdicts: list[_Verdict] = []
-    symmetric = _symmetric_verdict(net, budget, fraction)
-    want_mip = args.mip or symmetric is None
-    if symmetric is not None:
-        verdicts.append(symmetric)
-    if want_mip:
-        n_bin = len(net.validators) + len(net.services)
-        if n_bin > _MIP_LIMIT:
-            raise InputError(
-                f"network too large for the MIP engine ({n_bin} binaries > "
-                f"{_MIP_LIMIT}); no engine can decide it"
-            )
-        verdicts.append(_mip_verdict(net, budget, cap))
-    if args.oracle:
-        if (
-            len(net.validators) > _ORACLE_LIMIT
-            or len(net.services) > _ORACLE_LIMIT
-        ):
-            raise InputError(
-                f"network too large for the brute-force oracle "
-                f"(limit {_ORACLE_LIMIT} validators/services)"
-            )
-        verdicts.append(_oracle_verdict(net, budget, cap))
-
-    answers = {v.robust for v in verdicts}
+    names = _engine_names(net, args.mip, args.oracle)
+    witnesses = {name: _ENGINES[name](net, budget, cap) for name in names}
+    answers = {w is None for w in witnesses.values()}
     if len(answers) > 1:
         print("engine discrepancy:")
-        for v in verdicts:
-            print(f"  {v.engine}: {'robust' if v.robust else 'not robust'}")
+        for name, witness in witnesses.items():
+            print(f"  {name}: {'robust' if witness is None else 'not robust'}")
         return 2
 
-    robust = answers.pop()
-    engines = ", ".join(v.engine for v in verdicts)
     what = (
         "secure"
         if budget == 0 and fraction == 0
         else f"(f={_fmt(fraction)}, budget={_fmt(budget)})-robust"
     )
-    if robust:
+    engines = ", ".join(names)
+    if answers.pop():
         print(f"verdict: {what} (engines: {engines})")
         return 0
     print(f"verdict: NOT {what} (engines: {engines})")
-    for v in verdicts:
-        if not v.robust and v.detail:
-            print(f"witness ({v.engine}):")
-            print(v.detail)
-            break
+    byzantine, attack = witnesses[names[0]]
+    print(f"witness ({names[0]}):")
+    if byzantine:
+        print("  byzantine services: " + ", ".join(byzantine))
+    print("\n".join(_describe_attack(apply_byzantine(net, byzantine), attack)))
     return 1
 
 
@@ -332,7 +320,60 @@ _PRESETS = {
 
 
 # Preset parameters that hold a grid: a list of numbers.
-_GRID_KEYS = ("sizes", "thresholds", "budgets", "degrees", "f_grid", "f_values", "stakes")
+_GRID_KEYS = ("sizes", "thresholds", "budgets", "degrees", "f_grid", "f_values", "stakes",
+              "base")
+# Preset parameters that hold one number.
+_SCALAR_KEYS = ("n", "m", "stake", "threshold", "prize", "degree_step", "degree_max")
+# Grids a preset reads as a fixed number of values.
+_GRID_LENGTHS = {("fig6", "stakes"): 3, ("fig6", "degrees"): 2, ("custom", "base"): 2}
+# Parameters a custom sweep of each kind has no default for.
+_CUSTOM_REQUIRED = {
+    "security": ("n", "m", "thresholds"),
+    "robustness": ("n", "m", "threshold", "budgets", "f_grid"),
+    "failure": ("n", "m", "threshold", "stake", "degrees", "f_grid"),
+}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def _check_entry(entry: dict) -> None:
+    """Raise InputError unless the entry's parameters have the types its preset reads."""
+    name = entry.get("name")
+
+    def fail(message: str):
+        raise InputError(f"sweep {name!r}: {message}")
+
+    for key in _GRID_KEYS:
+        grid = entry.get(key)
+        if grid is None:
+            continue
+        if not isinstance(grid, list) or not all(_is_number(v) for v in grid):
+            fail(f"{key!r} must be a list of finite numbers")
+        length = _GRID_LENGTHS.get((name, key))
+        if length is not None and len(grid) != length:
+            fail(f"{key!r} must hold {length} numbers")
+    for key in _SCALAR_KEYS:
+        if key in entry and not _is_number(entry[key]):
+            fail(f"{key!r} must be a finite number")
+    for key in ("n", "m"):
+        if key in entry and not _is_count(entry[key]):
+            fail(f"{key!r} must be a positive integer")
+    if not all(_is_count(n) for n in entry.get("sizes", [])):
+        fail("'sizes' must hold positive integers")
+    if not entry.get("degree_step", 1) > 0:
+        fail("'degree_step' must be positive")
+    if not isinstance(entry.get("file", ""), str):
+        fail("'file' must be a file name")
+    if name == "custom":
+        for key in _CUSTOM_REQUIRED.get(entry.get("kind"), ()):
+            if key not in entry:
+                fail(f"a {entry['kind']} sweep needs {key!r}")
 
 
 def _sweep_entries(config) -> list[dict]:
@@ -343,17 +384,7 @@ def _sweep_entries(config) -> list[dict]:
     if not isinstance(sweeps, list) or not all(isinstance(e, dict) for e in sweeps):
         raise InputError("'sweeps' must be a list of objects")
     for entry in sweeps:
-        for key in _GRID_KEYS:
-            grid = entry.get(key)
-            if grid is None:
-                continue
-            if not isinstance(grid, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                for v in grid
-            ):
-                raise InputError(
-                    f"sweep {entry.get('name')!r}: {key!r} must be a list of finite numbers"
-                )
+        _check_entry(entry)
     return sweeps
 
 
@@ -455,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, NotSymmetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (mipmod.MipStatusError, mipmod.MipNodeLimitError, SearchBracketError) as exc:
+    except (mipmod.MipStatusError, mipmod.MipNodeLimitError) as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return 2
 

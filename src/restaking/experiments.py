@@ -29,15 +29,7 @@ from .model import (
     byzantine_weight_cap,
     evaluate_attack,
 )
-from .symmetry import (
-    SearchBracketError,
-    SweepTemplate,
-    beta_robust_predicate,
-    f_beta_robust_predicate,
-    max_budget,
-    min_stake_for,
-    secure_predicate,
-)
+from .symmetry import SweepTemplate, max_budget, min_stake_for
 
 __all__ = [
     "Table",
@@ -98,12 +90,20 @@ def _thread_count() -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def _map_cells(fn: Callable, items: list) -> list:
+def _map_cells(fn: Callable, tasks: list[tuple]) -> list:
+    """fn(*task) for every task, over RESTAKING_THREADS worker processes."""
     workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+    if workers == 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*tasks)))
+
+
+def _rows(fn: Callable, xs: Sequence, ys: Sequence, task: Callable) -> list[list]:
+    """One row ``[x, fn(*task(x, y)) for y in ys]`` per x, cells computed by _map_cells."""
+    values = _map_cells(fn, [task(x, y) for x in xs for y in ys])
+    k = len(ys)
+    return [[x] + values[i * k : (i + 1) * k] for i, x in enumerate(xs)]
 
 
 def degree_grid(n_services: int, step: float = 0.1, lo: float = 1.0,
@@ -125,20 +125,6 @@ def _degrees(grid: Sequence[float] | None, n_services: int) -> list[float]:
     return list(grid) if grid else degree_grid(n_services)
 
 
-def _theory_cell(args) -> float:
-    template, degree, f, budget = args
-    if f == 0 and budget == 0:
-        predicate = secure_predicate()
-    elif f == 0:
-        predicate = beta_robust_predicate(budget)
-    else:
-        predicate = f_beta_robust_predicate(f, budget)
-    try:
-        return min_stake_for(template, predicate, degree)
-    except SearchBracketError:
-        return math.nan
-
-
 def sweep_min_stake_security(
     n: int,
     m: int,
@@ -150,16 +136,8 @@ def sweep_min_stake_security(
     columns = ["restaking_degree"] + [
         f"min_stake_threshold_{theta:.2f}" for theta in thresholds
     ]
-    tasks = []
-    for d in degrees:
-        for theta in thresholds:
-            template = SweepTemplate(n_validators=n, n_services=m, threshold=theta)
-            tasks.append((template, d, 0, 0))
-    values = _map_cells(_theory_cell, tasks)
-    rows = []
-    k = len(thresholds)
-    for i, d in enumerate(degrees):
-        rows.append([d] + values[i * k : (i + 1) * k])
+    rows = _rows(min_stake_for, degrees, thresholds, lambda d, theta: (
+        SweepTemplate(n_validators=n, n_services=m, threshold=theta), d, 0, 0))
     return Table(columns=columns, rows=rows)
 
 
@@ -190,21 +168,17 @@ def sweep_min_stake_robustness(
     columns = ["restaking_degree"] + [
         f"min_stake_threshold_{f:.2f}" for f in f_grid
     ]
-    result = {}
-    for budget in budgets:
-        tasks = [(template, d, f, budget) for d in degrees for f in f_grid]
-        values = _map_cells(_theory_cell, tasks)
-        rows = []
-        k = len(f_grid)
-        for i, d in enumerate(degrees):
-            rows.append([d] + values[i * k : (i + 1) * k])
-        result[budget] = Table(columns=columns, rows=rows)
-    return result
+    return {
+        budget: Table(columns, _rows(min_stake_for, degrees, f_grid,
+                                     lambda d, f: (template, d, budget, f)))
+        for budget in budgets
+    }
 
 
-def _budget_cell(args) -> float:
-    template, stake, degree, f = args
-    return max_budget(template.build(stake, degree), f)
+def _budget_cell(template: SweepTemplate, stake, degree, f) -> float:
+    """max_budget at the absolute cap of Byzantine fraction f."""
+    cap = byzantine_weight_cap(template.build_network(stake, degree), f)
+    return max_budget(template.build(stake, degree), weight_cap=cap)
 
 
 def sweep_failure_threshold(
@@ -219,12 +193,7 @@ def sweep_failure_threshold(
     it only changes where the cap admits one more Byzantine service.
     """
     columns = ["robustness_threshold"] + [f"min_budget_{d:.2f}" for d in degrees]
-    tasks = [(template, stake, d, f) for f in f_grid for d in degrees]
-    values = _map_cells(_budget_cell, tasks)
-    rows = []
-    k = len(degrees)
-    for i, f in enumerate(f_grid):
-        rows.append([f] + values[i * k : (i + 1) * k])
+    rows = _rows(_budget_cell, f_grid, degrees, lambda f, d: (template, stake, d, f))
     return Table(columns=columns, rows=rows)
 
 
@@ -264,15 +233,7 @@ def sweep_failure_decomposition(
         "min_budget_no_base",
         "min_budget_total",
     ]
-    tasks = [
-        (template, stake, degree, f)
-        for f in f_grid
-        for template, stake, degree in configs
-    ]
-    values = _map_cells(_budget_cell, tasks)
-    rows = []
-    for i, f in enumerate(f_grid):
-        rows.append([f] + values[i * 3 : (i + 1) * 3])
+    rows = _rows(_budget_cell, f_grid, configs, lambda f, config: (*config, f))
     return Table(columns=columns, rows=rows)
 
 
@@ -327,11 +288,6 @@ def min_stake_mip(
     return stake
 
 
-def _mip_cell(args) -> float:
-    template, degree, f, budget = args
-    return min_stake_mip(template, degree, budget, f)
-
-
 def sweep_mip_vs_theory(
     n: int,
     m: int,
@@ -356,15 +312,14 @@ def sweep_mip_vs_theory(
     columns.append("agree")
     result = {}
     for budget in budgets:
-        mip_tasks = [(template, d, f, budget) for d in degree_grid for f in f_values]
-        theory_tasks = [(template, d, f, budget) for d in degree_grid for f in f_values]
-        mip_values = _map_cells(_mip_cell, mip_tasks)
-        theory_values = _map_cells(_theory_cell, theory_tasks)
+        def task(d, f):
+            return template, d, budget, f
+
         rows = []
-        k = len(f_values)
-        for i, d in enumerate(degree_grid):
-            mips = mip_values[i * k : (i + 1) * k]
-            theos = theory_values[i * k : (i + 1) * k]
+        for (d, *mips), (_, *theos) in zip(
+            _rows(min_stake_mip, degree_grid, f_values, task),
+            _rows(min_stake_for, degree_grid, f_values, task),
+        ):
             agree = all(
                 (math.isnan(a) and math.isnan(b)) or abs(a - b) <= AGREEMENT_TOLERANCE
                 for a, b in zip(mips, theos)
@@ -396,13 +351,8 @@ def sweep_min_stake_mip(
     columns = ["restaking_degree"] + [
         f"min_stake_threshold_{f:.2f}" for f in f_grid
     ]
-    result = {}
-    for budget in budgets:
-        tasks = [(template, d, f, budget) for d in degree_grid for f in f_grid]
-        values = _map_cells(_mip_cell, tasks)
-        rows = []
-        k = len(f_grid)
-        for i, d in enumerate(degree_grid):
-            rows.append([d] + values[i * k : (i + 1) * k])
-        result[budget] = Table(columns=columns, rows=rows)
-    return result
+    return {
+        budget: Table(columns, _rows(min_stake_mip, degree_grid, f_grid,
+                                     lambda d, f: (template, d, budget, f)))
+        for budget in budgets
+    }

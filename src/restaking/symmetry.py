@@ -7,15 +7,19 @@ floor(threshold * n) validators commit their full allocation and one more
 validator commits the fractional remainder. Security and robustness checks
 therefore reduce to evaluating a closed-form cost over subsets of services,
 and subsets only matter through their (allocation, prize) class counts, so
-the enumeration is polynomial per class.
+the enumeration is polynomial per class. One generator enumerates every
+admissible Byzantine choice with every consolidated attack after it;
+:func:`is_f_beta_robust`, :func:`find_beta_costly` and :func:`max_budget`
+reduce it by any, first and min. Byzantine weight caps are absolute, as
+everywhere in the package (see :func:`restaking.model.byzantine_weight_cap`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import islice, product
+from typing import Iterable, Iterator, Mapping
 
 from .model import (
     Attack,
@@ -23,28 +27,23 @@ from .model import (
     Network,
     _exact,
     _le,
+    byzantine_weight_cap,
+    service_weight,
 )
 
 __all__ = [
     "SymmetricNetwork",
     "NotSymmetricError",
-    "SearchBracketError",
     "as_symmetric",
     "to_network",
     "consolidated_cost",
     "consolidated_attack",
-    "is_secure",
-    "is_beta_robust",
     "is_f_beta_robust",
     "SymmetricViolation",
     "find_beta_costly",
     "max_budget",
-    "total_weight",
     "SweepTemplate",
     "min_stake_for",
-    "secure_predicate",
-    "beta_robust_predicate",
-    "f_beta_robust_predicate",
 ]
 
 _REL_TOL = 1e-12
@@ -56,10 +55,6 @@ class NotSymmetricError(ValueError):
     def __init__(self, condition: str, message: str):
         super().__init__(message)
         self.condition = condition
-
-
-class SearchBracketError(RuntimeError):
-    """Raised when a stake search cannot bracket a satisfying value."""
 
 
 @dataclass(frozen=True)
@@ -221,59 +216,19 @@ def _classes(sym: SymmetricNetwork) -> list[tuple[tuple, list[str]]]:
     return list(groups.items())
 
 
-def _count_vectors(limits: list[int]) -> Iterator[tuple[int, ...]]:
-    yield from product(*(range(c + 1) for c in limits))
-
-
-def _worst_margin(sym: SymmetricNetwork):
-    """Minimum of cost - prize over all non-empty service subsets."""
-    classes = _classes(sym)
-    k, frac = _threshold_split(sym)
-    worst = math.inf
-    for counts in _count_vectors([len(ids) for _, ids in classes]):
-        if not any(counts):
-            continue
-        w_total = sum(c * key[0] for c, (key, _) in zip(counts, classes))
-        prize = sum(c * key[1] for c, (key, _) in zip(counts, classes))
-        cost = k * min(sym.stake, w_total) + min(sym.stake, frac * w_total)
-        margin = cost - prize
-        if margin < worst:
-            worst = margin
-    return worst
-
-
-def is_secure(sym: SymmetricNetwork) -> bool:
-    """True iff every consolidated attack costs strictly more than its prize."""
-    return is_beta_robust(sym, 0)
-
-
-def is_beta_robust(sym: SymmetricNetwork, budget) -> bool:
-    """True iff every consolidated attack costs strictly more than prize + budget."""
-    if budget < 0:
-        raise InputError("budget must be non-negative")
-    classes = _classes(sym)
-    k, frac = _threshold_split(sym)
-    for counts in _count_vectors([len(ids) for _, ids in classes]):
-        if not any(counts):
-            continue
-        w_total = sum(c * key[0] for c, (key, _) in zip(counts, classes))
-        prize = sum(c * key[1] for c, (key, _) in zip(counts, classes))
-        cost = k * min(sym.stake, w_total) + min(sym.stake, frac * w_total)
-        if _le(cost, prize + budget):
-            return False
-    return True
-
-
 def _slash_counts(
     sym: SymmetricNetwork, byz: dict[tuple, int]
 ) -> SymmetricNetwork | None:
     """Network left after slashing ``byz[class-key]`` non-base services per class.
 
     Returns None when no services remain (the vacuous, trivially robust
-    case). When slashing wipes the whole stake, the result keeps a positive
-    stake but zero allocations, which evaluates identically for attacks
-    (every cost term is capped by the zero allocation).
+    case), and the network itself for the empty choice. When slashing wipes
+    the whole stake, the result keeps a positive stake but zero allocations,
+    which evaluates identically for attacks (every cost term is capped by
+    the zero allocation).
     """
+    if not byz and sym.allocation:
+        return sym
     slashed_total = sum(key[0] * cnt for key, cnt in byz.items())
     new_stake = max(0, sym.stake - slashed_total)
     remaining: dict[str, float] = {}
@@ -302,6 +257,8 @@ def _byzantine_count_choices(
     sym: SymmetricNetwork, weight_cap
 ) -> Iterator[dict[tuple, int]]:
     """Count vectors over non-base service classes within the weight cap."""
+    if not weight_cap >= 0:  # written so that NaN fails too
+        raise InputError("weight_cap must be non-negative")
     classes: dict[tuple, int] = {}
     for s in sym.services:
         if s in sym.base_services:
@@ -312,59 +269,61 @@ def _byzantine_count_choices(
     weights = [
         math.inf if sym.threshold == 0 else key[1] / sym.threshold for key in keys
     ]
-    for counts in _count_vectors([classes[key] for key in keys]):
+    for counts in product(*(range(classes[key] + 1) for key in keys)):
         weight = sum(cnt * w for cnt, w in zip(counts, weights) if cnt)
         if _le(weight, weight_cap):
             yield {key: cnt for key, cnt in zip(keys, counts) if cnt}
 
 
-def total_weight(sym: SymmetricNetwork):
-    """Total prize-to-threshold weight over non-base services."""
-    if sym.threshold == 0:
-        eligible = [s for s in sym.services if s not in sym.base_services]
-        return math.inf if eligible else 0
-    return sum(
-        sym.prize[s] / sym.threshold
-        for s in sym.services
-        if s not in sym.base_services
-    )
+def _consolidated_attacks(sym: SymmetricNetwork, weight_cap) -> Iterator[tuple]:
+    """Every admissible Byzantine choice with every consolidated attack after it.
 
-
-def _weight_cap(sym: SymmetricNetwork, f):
-    """Absolute Byzantine weight cap for a fraction f of the total weight."""
-    if f == 0:
-        return 0
-    tw = total_weight(sym)
-    if tw == 0:
-        return 0
-    if math.isinf(f) or math.isinf(tw):
-        return math.inf
-    return f * tw
-
-
-def is_f_beta_robust(sym: SymmetricNetwork, f, budget) -> bool:
-    """Robustness against a budget after any admissible Byzantine choice.
-
-    ``f`` is a fraction of the total non-base prize-to-threshold weight;
-    every Byzantine count combination within the cap is applied and the
-    remaining network must stay budget-robust. A choice that removes every
-    service is vacuously fine.
+    Yields ``(byz, slashed, classes, counts, cost, prize)``: ``byz`` counts
+    the Byzantine services per class (total weight within ``weight_cap``),
+    ``slashed`` is the network slashing leaves, and ``counts`` picks the
+    attacked services per class of ``classes = _classes(slashed)``; ``cost``
+    is the consolidated attack's cost and ``prize`` its prize. A choice that
+    removes every service leaves nothing to attack and yields nothing.
     """
-    if f < 0:
-        raise InputError("f must be non-negative")
-    cap = _weight_cap(sym, f)
-    for byz in _byzantine_count_choices(sym, cap):
+    for byz in _byzantine_count_choices(sym, weight_cap):
         slashed = _slash_counts(sym, byz)
         if slashed is None:
             continue
-        if not is_beta_robust(slashed, budget):
-            return False
-    return True
+        classes = _classes(slashed)
+        k, frac = _threshold_split(slashed)
+        stake = slashed.stake
+        # Per class, the allocation and prize of 0..size services; the three
+        # products run in step, and the first (all-zero) vector is skipped.
+        counts = [range(len(ids) + 1) for _, ids in classes]
+        allocs = [[c * key[0] for c in r] for (key, _), r in zip(classes, counts)]
+        prizes = [[c * key[1] for c in r] for (key, _), r in zip(classes, counts)]
+        for vector, ws, ps in islice(
+            zip(product(*counts), product(*allocs), product(*prizes)), 1, None
+        ):
+            w_total = sum(ws)
+            cost = k * min(stake, w_total) + min(stake, frac * w_total)
+            yield byz, slashed, classes, vector, cost, sum(ps)
+
+
+def is_f_beta_robust(sym: SymmetricNetwork, budget, weight_cap) -> bool:
+    """Robustness against a budget after any admissible Byzantine choice.
+
+    Every Byzantine choice of total weight at most ``weight_cap`` is
+    applied, and every consolidated attack on what slashing leaves must cost
+    strictly more than its prize plus the budget. A choice that removes
+    every service is vacuously fine.
+    """
+    if budget < 0:
+        raise InputError("budget must be non-negative")
+    return not any(
+        _le(cost, prize + budget)
+        for *_, cost, prize in _consolidated_attacks(sym, weight_cap)
+    )
 
 
 @dataclass(frozen=True)
 class SymmetricViolation:
-    """Witness that a symmetric network is not (f, budget)-robust."""
+    """Witness that a symmetric network is not (weight cap, budget)-robust."""
 
     byzantine: tuple[str, ...]
     target: tuple[str, ...]
@@ -373,73 +332,55 @@ class SymmetricViolation:
     prize: float
 
 
-def find_beta_costly(sym: SymmetricNetwork, f, budget) -> SymmetricViolation | None:
-    """Materialize a violating (Byzantine choice, consolidated attack) pair.
+def find_beta_costly(
+    sym: SymmetricNetwork, budget, weight_cap
+) -> SymmetricViolation | None:
+    """The first violating (Byzantine choice, consolidated attack) pair.
 
-    Returns None when the network is (f, budget)-robust. Byzantine services
-    and attack targets are picked deterministically from their equivalence
-    classes in service order.
+    Returns None exactly when :func:`is_f_beta_robust` holds. Byzantine
+    services and attack targets are picked deterministically from their
+    equivalence classes in service order; the attack is expressed against
+    :func:`to_network` validator ids.
     """
     if budget < 0:
         raise InputError("budget must be non-negative")
-    cap = _weight_cap(sym, f)
-    for byz in _byzantine_count_choices(sym, cap):
-        byz_ids: list[str] = []
+    for byz, slashed, classes, counts, cost, prize in _consolidated_attacks(
+        sym, weight_cap
+    ):
+        if not _le(cost, prize + budget):
+            continue
+        byzantine: list[str] = []
         taken = dict(byz)
         for s in sym.services:
             key = (sym.allocation[s], sym.prize[s])
             if s not in sym.base_services and taken.get(key, 0) > 0:
                 taken[key] -= 1
-                byz_ids.append(s)
-        slashed = _slash_counts(sym, byz)
-        if slashed is None:
-            continue
-        classes = _classes(slashed)
-        k, frac = _threshold_split(slashed)
-        for counts in _count_vectors([len(ids) for _, ids in classes]):
-            if not any(counts):
-                continue
-            w_total = sum(c * key[0] for c, (key, _) in zip(counts, classes))
-            prize = sum(c * key[1] for c, (key, _) in zip(counts, classes))
-            cost = k * min(slashed.stake, w_total) + min(
-                slashed.stake, frac * w_total
-            )
-            if _le(cost, prize + budget):
-                target: list[str] = []
-                for c, (_, ids) in zip(counts, classes):
-                    target.extend(ids[:c])
-                attack = consolidated_attack(slashed, target)
-                return SymmetricViolation(
-                    byzantine=tuple(byz_ids),
-                    target=tuple(target),
-                    attack=attack,
-                    cost=cost,
-                    prize=prize,
-                )
+                byzantine.append(s)
+        target: list[str] = []
+        for c, (_, ids) in zip(counts, classes):
+            target.extend(ids[:c])
+        return SymmetricViolation(
+            byzantine=tuple(byzantine),
+            target=tuple(target),
+            attack=consolidated_attack(slashed, target),
+            cost=cost,
+            prize=prize,
+        )
     return None
 
 
-def max_budget(sym: SymmetricNetwork, f) -> float:
-    """Supremum of budgets for which the network is (f, budget)-robust.
+def max_budget(sym: SymmetricNetwork, weight_cap) -> float:
+    """Supremum of budgets for which the network is (weight cap, budget)-robust.
 
     Closed form: the minimum over admissible Byzantine choices and attack
     subsets of (consolidated cost - prize) on the slashed network, clamped
     at zero. Returns inf when no attack subset exists at all.
     """
-    if f < 0:
-        raise InputError("f must be non-negative")
-    cap = _weight_cap(sym, f)
-    worst = math.inf
-    for byz in _byzantine_count_choices(sym, cap):
-        slashed = _slash_counts(sym, byz)
-        if slashed is None:
-            continue
-        margin = _worst_margin(slashed)
-        if margin < worst:
-            worst = margin
-    if math.isinf(worst):
-        return math.inf
-    return max(0, worst)
+    worst = min(
+        (cost - prize for *_, cost, prize in _consolidated_attacks(sym, weight_cap)),
+        default=math.inf,
+    )
+    return worst if math.isinf(worst) else max(0, worst)
 
 
 @dataclass(frozen=True)
@@ -522,53 +463,34 @@ class SweepTemplate:
         )
 
 
-def secure_predicate() -> Callable[[SymmetricNetwork], bool]:
-    return is_secure
+def min_stake_for(template: SweepTemplate, degree, budget, f) -> float:
+    """Infimum per-validator stake at which the template is (f, budget)-robust.
 
-
-def beta_robust_predicate(budget) -> Callable[[SymmetricNetwork], bool]:
-    return lambda sym: is_beta_robust(sym, budget)
-
-
-def f_beta_robust_predicate(f, budget) -> Callable[[SymmetricNetwork], bool]:
-    return lambda sym: is_f_beta_robust(sym, f, budget)
-
-
-def min_stake_for(
-    template: SweepTemplate,
-    predicate: Callable[[SymmetricNetwork], bool],
-    degree,
-    tolerance: float = 1e-6,
-) -> float:
-    """Infimum per-validator stake satisfying the predicate at this degree.
-
-    The predicate is monotone in the stake because every allocation in the
-    template scales with it, so a doubling bracket followed by bisection is
-    exact to the tolerance. Raises SearchBracketError when no bracket
-    satisfies the predicate (the configuration is unsatisfiable at any
-    stake, e.g. slashing can wipe all stake regardless of its size).
+    ``f`` is a fraction of the total non-base weight; its absolute cap,
+    :func:`restaking.model.byzantine_weight_cap`, does not depend on the
+    stake. Robustness is monotone in the stake because every allocation in
+    the template scales with it, so a doubling bracket followed by bisection
+    is exact to 1e-6. Returns nan when no bracket is robust: the
+    configuration is unsatisfiable at any stake (slashing can wipe all stake
+    regardless of its size).
     """
-    weights = [template.prize / template.threshold]
-    if template.has_base():
-        weights.append(template.base_prize / template.base_threshold)
-    n_all = template.n_services + (1 if template.has_base() else 0)
-    hi = max(weights) * n_all
+    unit = template.build_network(1.0, degree)
+    cap = byzantine_weight_cap(unit, f)
+    hi = max(service_weight(unit, s) for s in unit.services) * len(unit.services)
     lo = 0.0
 
-    def check(stake: float) -> bool:
-        return predicate(template.build(stake, degree))
+    def robust(stake: float) -> bool:
+        return is_f_beta_robust(template.build(stake, degree), budget, weight_cap=cap)
 
     doublings = 0
-    while not check(hi):
+    while not robust(hi):
         hi *= 2
         doublings += 1
         if doublings > 60:
-            raise SearchBracketError(
-                f"predicate unsatisfiable at any stake; bracket [0, {hi}]"
-            )
-    while hi - lo > tolerance:
+            return math.nan
+    while hi - lo > 1e-6:
         mid = (lo + hi) / 2
-        if check(mid):
+        if robust(mid):
             hi = mid
         else:
             lo = mid

@@ -31,6 +31,7 @@ from restaking.model import (
     Attack,
     Network,
     apply_byzantine,
+    byzantine_weight_cap,
     evaluate_attack,
     is_profitable,
     restaking_degree,
@@ -39,12 +40,10 @@ from restaking.symmetry import (
     SweepTemplate,
     SymmetricNetwork,
     as_symmetric,
-    beta_robust_predicate,
     consolidated_attack,
-    is_beta_robust,
+    is_f_beta_robust,
     max_budget,
     min_stake_for,
-    secure_predicate,
     to_network,
 )
 from restaking.experiments import sweep_min_stake_robustness, sweep_mip_vs_theory
@@ -78,9 +77,9 @@ def test_criterion_1_atomic_boundary(fig_atomic):
         assert min_budget(fig_atomic) == pytest.approx(15.0, abs=1e-6)
         assert min_budget_bruteforce(fig_atomic) == pytest.approx(15.0, abs=1e-6)
         sym = as_symmetric(fig_atomic)
-        assert max_budget(sym, 0) == pytest.approx(15.0, abs=1e-6)
-        assert is_beta_robust(sym, 14.999999)
-        assert not is_beta_robust(sym, 15.0)
+        assert max_budget(sym, weight_cap=0) == pytest.approx(15.0, abs=1e-6)
+        assert is_f_beta_robust(sym, 14.999999, weight_cap=0)
+        assert not is_f_beta_robust(sym, 15.0, weight_cap=0)
 
 
 def test_criterion_2_integer_threshold_flat_line():
@@ -88,23 +87,23 @@ def test_criterion_2_integer_threshold_flat_line():
         template = SweepTemplate(n_validators=10, n_services=10, threshold=0.5)
         degrees = [1.0 + 0.5 * k for k in range(19)]
         for degree in degrees:
-            value = min_stake_for(template, secure_predicate(), degree)
+            value = min_stake_for(template, degree, budget=0, f=0)
             assert value == pytest.approx(2.0, abs=1e-5), degree
 
 
 def test_criterion_3_fractional_threshold_shape():
     with _Timer("3 (fractional threshold-count shape)", 10.0):
         template = SweepTemplate(n_validators=10, n_services=10, threshold=1 / 3)
-        assert min_stake_for(template, secure_predicate(), 1.0) == pytest.approx(
+        assert min_stake_for(template, 1.0, budget=0, f=0) == pytest.approx(
             3.0, abs=1e-5
         )
         for degree in (3.0, 4.0, 6.5, 10.0):
-            value = min_stake_for(template, secure_predicate(), degree)
+            value = min_stake_for(template, degree, budget=0, f=0)
             assert value == pytest.approx(2.5, abs=1e-5), degree
         # independent confirmation on an exhaustively-checkable analog
         analog = SweepTemplate(n_validators=4, n_services=4, threshold=1 / 3)
         for degree, expected in ((1.0, 3.0), (3.0, 2.0)):
-            value = min_stake_for(analog, secure_predicate(), degree)
+            value = min_stake_for(analog, degree, budget=0, f=0)
             assert value == pytest.approx(expected, abs=1e-5)
             margin_above, _ = best_attack(to_network(analog.build(value + 1e-4, degree)))
             margin_below, _ = best_attack(to_network(analog.build(value - 1e-4, degree)))
@@ -115,10 +114,10 @@ def test_criterion_4_base_service_numbers():
     with _Timer("4 (base-service stake requirements)", 120.0):
         base_alone = SweepTemplate(n_validators=15, n_services=1, threshold=1 / 3,
                                    prize=10.0)
-        assert min_stake_for(base_alone, beta_robust_predicate(0), 1.0) == pytest.approx(
+        assert min_stake_for(base_alone, 1.0, budget=0, f=0) == pytest.approx(
             2.0, abs=1e-6
         )
-        assert min_stake_for(base_alone, beta_robust_predicate(2), 1.0) == pytest.approx(
+        assert min_stake_for(base_alone, 1.0, budget=2, f=0) == pytest.approx(
             2.4, abs=1e-6
         )
         plain = sweep_min_stake_robustness(
@@ -285,7 +284,11 @@ def test_criterion_10_monotonicity_and_oracle_equivalence():
                 threshold=rng.choice([1 / 3, 0.5, 0.25]),
                 prize={f"s{j}": 1.0 for j in range(m)},
             )
-            values = [max_budget(sym, f) for f in (0, 0.2, 0.4, 0.6, 0.8, 1.0)]
+            net = to_network(sym)
+            values = [
+                max_budget(sym, weight_cap=byzantine_weight_cap(net, f))
+                for f in (0, 0.2, 0.4, 0.6, 0.8, 1.0)
+            ]
             assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
         for _ in range(100):
             net = random_network(rng, max_validators=4, max_services=4)

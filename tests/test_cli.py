@@ -1,13 +1,24 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+import pytest
 
 from restaking import mip
 from restaking.bruteforce import best_attack
-from restaking.cli import main
+from restaking.cli import _sweep_entries, main
 from restaking.lp import INFEASIBLE
-from restaking.model import apply_byzantine, byzantine_subsets, byzantine_weight_cap
+from restaking.model import (
+    InputError,
+    apply_byzantine,
+    byzantine_subsets,
+    byzantine_weight_cap,
+)
 from restaking.symmetry import SweepTemplate
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_SWEEPS = json.loads((GOLDEN / "presets.json").read_text(encoding="utf-8"))["sweeps"]
 
 FIG_ATOMIC = {
     "validators": [{"id": "v1", "stake": 20}, {"id": "v2", "stake": 20}],
@@ -101,6 +112,38 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "f=1.000000" in out
         assert code == main(["check", path, "--budget", "14", "--fraction", "1"])
+
+    def test_symmetric_witness_names_file_validators(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(FIG_ATOMIC).replace('"v1"', '"alice"')
+                             .replace('"v2"', '"bob"'))
+        path = write(tmp_path, "net.json", payload)
+        assert main(["check", path, "--budget", "15"]) == 1
+        out = capsys.readouterr().out
+        assert "witness (symmetric):" in out
+        assert "  alice: s=20.000000 (cost 20.000000)" in out
+        assert "v1" not in out
+
+    def test_weight_cap_is_not_round_tripped(self, tmp_path, capsys):
+        # The cap equals s1's weight (prize / threshold) exactly; as a
+        # fraction and back it came out 3e-8 smaller, which dropped the one
+        # Byzantine choice (s1) that breaks the network.
+        stake, w1, w2 = 338004702.9611585, 240955902.90675858, 291146400.16319984
+        payload = {
+            "validators": [{"id": "v1", "stake": stake}, {"id": "v2", "stake": stake}],
+            "services": [
+                {"id": "s1", "threshold": 0.5, "prize": 120477951.45337929},
+                {"id": "s2", "threshold": 0.5, "prize": 194097600.1087999},
+            ],
+            "allocations": [
+                {"validator": v, "service": s, "amount": w}
+                for v in ("v1", "v2") for s, w in (("s1", w1), ("s2", w2))
+            ],
+        }
+        path = write(tmp_path, "net.json", payload)
+        for flags in ([], ["--mip", "--oracle"]):
+            assert main(["check", path, "--weight-cap", repr(w1), *flags]) == 1, flags
+            out = capsys.readouterr().out
+            assert "byzantine services: s1" in out
 
     def test_dump_mip(self, tmp_path):
         path = write(tmp_path, "net.json", FIG_ATOMIC)
@@ -245,11 +288,42 @@ class TestSweep:
         for payload in ([], {"sweeps": {"name": "fig5"}}, {"sweeps": ["fig5"]},
                         {"sweeps": [{"name": "fig5", "degrees": "abc"}]},
                         {"sweeps": [{"name": "fig5", "degrees": [1.0, "2"]}]},
-                        {"sweeps": [{"name": "fig7", "budgets": [True]}]}):
+                        {"sweeps": [{"name": "fig7", "budgets": [True]}]},
+                        {"sweeps": [{"name": "fig5", "n": "abc"}]},
+                        {"sweeps": [{"name": "fig5", "n": 0}]},
+                        {"sweeps": [{"name": "fig3", "sizes": [2.5], "degree_step": 3}]},
+                        {"sweeps": [{"name": "fig4", "degree_max": "x"}]},
+                        {"sweeps": [{"name": "fig6", "stakes": [1.0]}]},
+                        {"sweeps": [{"name": "custom", "kind": "security", "n": 3,
+                                     "thresholds": [0.5]}]},
+                        {"sweeps": [{"name": "custom", "kind": "robustness", "n": 3,
+                                     "m": 3, "threshold": 0.5, "budgets": [0],
+                                     "f_grid": [0], "base": [10]}]},
+                        {"sweeps": [{"name": "custom", "kind": "failure", "n": 3,
+                                     "m": 3, "threshold": 0.5, "stake": 1,
+                                     "degrees": [1.0], "f_grid": [0], "file": 3}]}):
             config = write(tmp_path, "sweeps.json", payload)
             assert main(["sweep", config, "--out", str(tmp_path / "out")]) == 2, payload
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
+        # A step that never advances the degree grid is refused before any
+        # sweep runs (checked without running one).
+        with pytest.raises(InputError, match="degree_step"):
+            _sweep_entries({"sweeps": [{"name": "fig3", "degree_step": 0}]})
+
+    @pytest.mark.parametrize(
+        "entry", GOLDEN_SWEEPS, ids=[e.get("kind", e["name"]) for e in GOLDEN_SWEEPS]
+    )
+    def test_preset_matches_golden_csv(self, entry, tmp_path):
+        # Reduced grids of every preset; the expected CSVs in tests/golden
+        # were written before the closed form was rebuilt on one generator.
+        config = write(tmp_path, "sweeps.json", {"sweeps": [entry]})
+        out = tmp_path / "out"
+        assert main(["sweep", config, "--out", str(out)]) == 0
+        written = sorted(out.iterdir())
+        assert written
+        for path in written:
+            assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
 
     def test_unknown_preset_rejected(self, tmp_path, capsys):
         config = write(tmp_path, "sweeps.json", {"sweeps": [{"name": "zzz"}]})

@@ -120,7 +120,7 @@ class TestMinBudget:
         value = min_budget(net)
         assert value == pytest.approx(0.02, abs=1e-6)
         assert value == pytest.approx(
-            max_budget(template.build(2.01, 2.0), 0), abs=1e-6
+            max_budget(template.build(2.01, 2.0), weight_cap=0), abs=1e-6
         )
 
     def test_oracle_equivalence(self):

@@ -1,29 +1,32 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from restaking.bruteforce import best_attack, min_budget_bruteforce, min_cost_attack
-from restaking.model import Attack, Network, apply_byzantine, evaluate_attack
+from restaking.model import (
+    Attack,
+    Network,
+    _le,
+    apply_byzantine,
+    byzantine_weight_cap,
+    evaluate_attack,
+)
 from restaking.symmetry import (
     NotSymmetricError,
-    SearchBracketError,
     SweepTemplate,
     SymmetricNetwork,
     as_symmetric,
-    beta_robust_predicate,
     consolidated_attack,
     consolidated_cost,
-    f_beta_robust_predicate,
     find_beta_costly,
-    is_beta_robust,
     is_f_beta_robust,
-    is_secure,
     max_budget,
     min_stake_for,
-    secure_predicate,
     to_network,
 )
 
@@ -44,6 +47,11 @@ def uniform_symmetric(n, m, stake, degree, threshold, prize=1.0, base=None):
         prize=prizes,
         base_services=base_set,
     )
+
+
+def cap_of(sym, f):
+    """The absolute Byzantine weight cap of fraction f."""
+    return byzantine_weight_cap(to_network(sym), f)
 
 
 def random_symmetric(rng, max_validators=6, max_services=4):
@@ -163,11 +171,11 @@ class TestSecurity:
     def test_integer_threshold_boundary(self):
         secure = uniform_symmetric(10, 10, 2.0000001, 3.0, 0.5)
         insecure = uniform_symmetric(10, 10, 2.0, 3.0, 0.5)
-        assert is_secure(secure)
-        assert not is_secure(insecure)
+        assert is_f_beta_robust(secure, 0, weight_cap=0)
+        assert not is_f_beta_robust(insecure, 0, weight_cap=0)
 
     def test_degenerate_single_validator(self, half_allocated):
-        assert not is_secure(as_symmetric(half_allocated))
+        assert not is_f_beta_robust(as_symmetric(half_allocated), 0, weight_cap=0)
 
     def test_zero_allocation_service_breaks_security(self):
         sym = SymmetricNetwork(
@@ -177,20 +185,14 @@ class TestSecurity:
             threshold=0.5,
             prize={"a": 1, "b": 1},
         )
-        assert not is_secure(sym)
+        assert not is_f_beta_robust(sym, 0, weight_cap=0)
 
 
 class TestBetaRobust:
     def test_boundary(self, fig_atomic):
         sym = as_symmetric(fig_atomic)
-        assert is_beta_robust(sym, 14.999)
-        assert not is_beta_robust(sym, 15)
-
-    def test_budget_zero_is_security(self):
-        rng = random.Random(50)
-        for _ in range(40):
-            sym = random_symmetric(rng)
-            assert is_beta_robust(sym, 0) == is_secure(sym)
+        assert is_f_beta_robust(sym, 14.999, weight_cap=0)
+        assert not is_f_beta_robust(sym, 15, weight_cap=0)
 
     def test_base_service_inequality(self):
         # One fully-allocated service with threshold 1/3 and prize 10 over
@@ -208,16 +210,24 @@ class TestBetaRobust:
                 threshold=1 / 3,
                 prize={"base": 10},
             )
-            assert is_beta_robust(sym, budget) == expected
+            assert is_f_beta_robust(sym, budget, weight_cap=0) == expected
 
 
 class TestFBetaRobust:
     def test_f_zero_reduces_to_beta(self):
+        # Cap 0 means no slashing: the verdict is that of every consolidated
+        # attack on the network as it is.
         rng = random.Random(51)
         for _ in range(25):
             sym = random_symmetric(rng)
             budget = rng.uniform(0, 2)
-            assert is_f_beta_robust(sym, 0, budget) == is_beta_robust(sym, budget)
+            expected = not any(
+                _le(consolidated_cost(sym, target),
+                    sum(sym.prize[s] for s in target) + budget)
+                for size in range(1, len(sym.services) + 1)
+                for target in combinations(sym.services, size)
+            )
+            assert is_f_beta_robust(sym, budget, weight_cap=0) == expected
 
     def test_f_one_identical_services_vacuous(self):
         # Robust at every partial Byzantine count, and the full count leaves
@@ -229,7 +239,7 @@ class TestFBetaRobust:
             threshold=1,
             prize={"a": 1, "b": 1},
         )
-        assert is_f_beta_robust(sym, 1, 0)
+        assert is_f_beta_robust(sym, 0, weight_cap=cap_of(sym, 1))
 
     def test_combined_network_beats_separated_deployments(self):
         # At budget 2 and a third of the services Byzantine, the combined
@@ -240,8 +250,11 @@ class TestFBetaRobust:
             base_prize=10.0, base_threshold=1 / 3,
         )
         best_degree = 45 / 37
-        assert is_f_beta_robust(combined.build(7.4001, best_degree), 1 / 3, 2)
-        assert not is_f_beta_robust(combined.build(7.3999, best_degree), 1 / 3, 2)
+        cap = byzantine_weight_cap(combined.build_network(1.0, best_degree), 1 / 3)
+        assert is_f_beta_robust(combined.build(7.4001, best_degree), 2, weight_cap=cap)
+        assert not is_f_beta_robust(
+            combined.build(7.3999, best_degree), 2, weight_cap=cap
+        )
 
     def test_witness_matches_decision(self):
         rng = random.Random(52)
@@ -249,8 +262,9 @@ class TestFBetaRobust:
             sym = random_symmetric(rng, max_validators=4, max_services=3)
             f = rng.choice([0, 0.25, 0.5, 1.0])
             budget = rng.uniform(0, 1)
-            violation = find_beta_costly(sym, f, budget)
-            assert (violation is None) == is_f_beta_robust(sym, f, budget)
+            cap = cap_of(sym, f)
+            violation = find_beta_costly(sym, budget, weight_cap=cap)
+            assert (violation is None) == is_f_beta_robust(sym, budget, weight_cap=cap)
             if violation is not None:
                 slashed = apply_byzantine(to_network(sym), violation.byzantine)
                 ev = evaluate_attack(slashed, violation.attack)
@@ -262,33 +276,32 @@ class TestMinStake:
     def test_integer_threshold_flat(self):
         template = SweepTemplate(n_validators=10, n_services=10, threshold=0.5)
         for degree in (1.0, 4.0, 10.0):
-            value = min_stake_for(template, secure_predicate(), degree)
+            value = min_stake_for(template, degree, budget=0, f=0)
             assert value == pytest.approx(2.0, abs=1e-5)
 
     def test_fractional_threshold_values(self):
         template = SweepTemplate(n_validators=10, n_services=10, threshold=1 / 3)
-        assert min_stake_for(template, secure_predicate(), 1.0) == pytest.approx(
+        assert min_stake_for(template, 1.0, budget=0, f=0) == pytest.approx(
             3.0, abs=1e-5
         )
         for degree in (3.0, 5.0, 10.0):
-            assert min_stake_for(template, secure_predicate(), degree) == pytest.approx(
+            assert min_stake_for(template, degree, budget=0, f=0) == pytest.approx(
                 2.5, abs=1e-5
             )
 
     def test_binary_search_brackets_the_boundary(self):
         template = SweepTemplate(n_validators=10, n_services=10, threshold=1 / 3)
-        predicate = beta_robust_predicate(0.5)
         for degree in (1.0, 2.5, 7.0):
-            result = min_stake_for(template, predicate, degree)
-            assert not predicate(template.build(result - 1e-5, degree))
-            assert predicate(template.build(result + 1e-5, degree))
+            result = min_stake_for(template, degree, budget=0.5, f=0)
+            below, above = (template.build(result + d, degree) for d in (-1e-5, 1e-5))
+            assert not is_f_beta_robust(below, 0.5, weight_cap=0)
+            assert is_f_beta_robust(above, 0.5, weight_cap=0)
 
-    def test_unsatisfiable_raises(self):
+    def test_unsatisfiable_is_nan(self):
         # At degree 3, a third of 15 services going Byzantine wipes all
         # stake, so no stake is ever enough.
         template = SweepTemplate(n_validators=15, n_services=15, threshold=1 / 3)
-        with pytest.raises(SearchBracketError):
-            min_stake_for(template, f_beta_robust_predicate(1 / 3, 2), 3.0)
+        assert math.isnan(min_stake_for(template, 3.0, budget=2, f=1 / 3))
 
     def test_brute_force_confirms_four_by_four_analog(self):
         # Same fractional-validator mechanics as the 10x10 case, small
@@ -300,7 +313,7 @@ class TestMinStake:
             return margin < 0
 
         for degree, expected in [(1.0, 3.0), (3.0, 2.0)]:
-            value = min_stake_for(template, secure_predicate(), degree)
+            value = min_stake_for(template, degree, budget=0, f=0)
             assert oracle_secure(value + 1e-4, degree)
             assert not oracle_secure(value - 1e-4, degree)
             assert value == pytest.approx(expected, abs=1e-5)
@@ -310,11 +323,11 @@ class TestMaxBudget:
     def test_collapse_point(self):
         sym = uniform_symmetric(15, 15, 10.0, 3.0, 1 / 3)
         # a third of the services Byzantine wipes the stake at degree 3
-        assert max_budget(sym, 1 / 3) == 0
+        assert max_budget(sym, weight_cap=cap_of(sym, 1 / 3)) == 0
 
     def test_single_service_margin_at_degree_one(self):
         sym = uniform_symmetric(15, 15, 10.0, 1.0, 1 / 3)
-        assert max_budget(sym, 0) == pytest.approx(5 * (10 / 15) - 1)
+        assert max_budget(sym, weight_cap=0) == pytest.approx(5 * (10 / 15) - 1)
 
     def test_non_increasing_in_f(self):
         rng = random.Random(53)
@@ -322,7 +335,10 @@ class TestMaxBudget:
             n = rng.randint(2, 10)
             m = rng.randint(1, 5)
             sym = uniform_symmetric(n, m, rng.uniform(1, 10), rng.uniform(0.5, m), 1 / 3)
-            values = [max_budget(sym, f) for f in (0, 0.25, 0.5, 0.75, 1.0)]
+            values = [
+                max_budget(sym, weight_cap=cap_of(sym, f))
+                for f in (0, 0.25, 0.5, 0.75, 1.0)
+            ]
             assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
 
@@ -374,8 +390,8 @@ class TestProperties:
             sym = random_symmetric(rng, max_validators=4, max_services=3)
             net = to_network(sym)
             margin, _ = best_attack(net)
-            assert is_secure(sym) == (margin < 0)
-            assert max_budget(sym, 0) == pytest.approx(
+            assert is_f_beta_robust(sym, 0, weight_cap=0) == (margin < 0)
+            assert max_budget(sym, weight_cap=0) == pytest.approx(
                 min_budget_bruteforce(net), abs=1e-7
             )
 
@@ -395,7 +411,9 @@ class TestProperties:
                 if all(slashed.stake[v] == 0 for v in slashed.validators):
                     robust.append(False)
                     continue
-                robust.append(is_beta_robust(as_symmetric(slashed), budget))
+                robust.append(
+                    is_f_beta_robust(as_symmetric(slashed), budget, weight_cap=0)
+                )
             for k in range(len(robust) - 1):
                 assert not robust[k + 1] or robust[k], (robust, k)
 
