@@ -207,19 +207,27 @@ def _preset_fig3(params: dict) -> list[tuple[str, exp.Table]]:
     return out
 
 
+def _fractions(n: int, last: int) -> list[float]:
+    """Byzantine fractions k/n for k = 0..last, stopping at 1.
+
+    A larger fraction admits the same Byzantine sets as 1.
+    """
+    return [k / n for k in range(min(last, n) + 1)]
+
+
 def _preset_fig4(params: dict) -> list[tuple[str, exp.Table]]:
     n = params.get("n", 15)
     budgets = params.get("budgets", [0, 1, 2])
     step = params.get("degree_step", 0.25)
     degrees = exp.degree_grid(n, step, 1.0, params.get("degree_max", 6.0))
     out = []
-    f_grid = [k / n for k in range(10)]
+    f_grid = _fractions(n, 9)
     tables = exp.sweep_min_stake_robustness(
         n, n, 1 / 3, 1.0, budgets, f_grid, degrees
     )
     for budget, table in tables.items():
         out.append((f"figure4_y_stake_budget_{budget:g}.csv", table))
-    f_grid_base = [k / n for k in range(11)]
+    f_grid_base = _fractions(n, 10)
     tables = exp.sweep_min_stake_robustness(
         n, n, 1 / 3, 1.0, budgets, f_grid_base, degrees, base=(10.0, 1 / 3)
     )
@@ -234,7 +242,7 @@ def _preset_fig5(params: dict) -> list[tuple[str, exp.Table]]:
     n = params.get("n", 15)
     stake = params.get("stake", 10.0)
     degrees = params.get("degrees", [1.0 + 0.25 * k for k in range(9)])
-    f_grid = params.get("f_grid", [k / n for k in range(13)])
+    f_grid = params.get("f_grid", _fractions(n, 12))
     template = exp.SweepTemplate(n_validators=n, n_services=n, threshold=1 / 3)
     table = exp.sweep_failure_threshold(template, stake, degrees, f_grid)
     return [("figure5.csv", table)]
@@ -242,7 +250,7 @@ def _preset_fig5(params: dict) -> list[tuple[str, exp.Table]]:
 
 def _preset_fig6(params: dict) -> list[tuple[str, exp.Table]]:
     n = params.get("n", 15)
-    f_grid = params.get("f_grid", [k / n for k in range(10)])
+    f_grid = params.get("f_grid", _fractions(n, 9))
     table = exp.sweep_failure_decomposition(
         n, n, 1 / 3, 1.0, 10.0, 1 / 3,
         stakes=tuple(params.get("stakes", (2.4, 5.4, 7.8))),

@@ -264,10 +264,7 @@ def min_stake_mip(
     unit = template.build_network(1.0, degree)
     cap = byzantine_weight_cap(unit, f)
     stake = 0.0
-    for subset in mipmod.distinct_byzantine_subsets(unit, cap):
-        slashed = apply_byzantine(unit, subset)
-        if not slashed.services:
-            continue  # nothing left to attack
+    for subset, slashed in mipmod.distinct_byzantine_subsets(unit, cap):
         # The all-out attack's ratio is a lower bound on this choice's optimum.
         everything = Attack(stake_used=slashed.allocation)
         stake = max(stake, _cost_ratio(slashed, everything, budget))

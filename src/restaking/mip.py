@@ -1,19 +1,20 @@
-"""Mixed-integer programs for robustness analysis.
+"""Mixed-integer robustness analysis on one program.
 
-Two programs are generated from a network:
+The budget program maximizes attack profit (prize minus stake-capped cost)
+over allocation-divisible attacks; its optimum y decides robustness: the
+network is insecure iff y >= 0 and otherwise robust against any adversary
+budget below -y. It uses big-M linearizations of the min expressions in the
+attack cost and the threshold requirement.
 
-* the budget program maximizes attack profit (prize minus stake-capped cost)
-  over allocation-divisible attacks; its optimum y decides robustness: the
-  network is insecure iff y >= 0 and otherwise robust against any adversary
-  budget below -y;
-* the Byzantine program minimizes the prize-to-threshold weight of a set of
-  Byzantine services whose slashing enables an attack that stays within the
-  adversary budget.
-
-Both use big-M linearizations of the min/max expressions in the attack cost
-and slashing transition. The embedded branch-and-bound solver keeps runs
-deterministic and proves optima to a 1e-6 gap; instances stay desk-scale by
-construction (a few dozen binaries).
+Every Byzantine question reduces one generator,
+:func:`distinct_byzantine_subsets`, which yields each admissible Byzantine
+subset (one per multiset of interchangeable services) with the network its
+slashing leaves, and solves the budget program on that network:
+:func:`mip_check` takes the first attackable subset,
+:func:`max_byzantine_fraction` the lightest, and
+``experiments.min_stake_mip`` the largest minimum stake. The embedded
+branch-and-bound solver keeps runs deterministic and proves optima to a 1e-6
+gap; instances stay desk-scale by construction (a few dozen binaries).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "MipStatusError",
     "big_m_constants",
     "build_budget_mip",
-    "build_byzantine_mip",
     "solve_mip",
     "max_attack_profit",
     "attackable",
@@ -92,12 +92,11 @@ class MipStatusError(RuntimeError):
     """A program that always has an optimum was not solved to optimality."""
 
 
-def big_m_constants(net: Network) -> tuple[float, float, float, float, float]:
-    """Big-M constants (M1..M5) sized from the network data.
+def big_m_constants(net: Network) -> tuple[float, float]:
+    """Big-M constants (M1, M2) of the budget program, sized from the data.
 
-    M1 bounds the per-service threshold requirement, M2 = M3 bound stake and
-    per-validator total allocation, M4 bounds any single stake, and M5 is the
-    service count.
+    M1 bounds the per-service threshold requirement and M2 bounds stake and
+    per-validator total allocation.
     """
     m1 = max(
         (net.threshold[s] * net.total_allocation(s) for s in net.services),
@@ -105,8 +104,7 @@ def big_m_constants(net: Network) -> tuple[float, float, float, float, float]:
     )
     max_stake = max((net.stake[v] for v in net.validators), default=0)
     max_alloc = max((net.validator_allocation(v) for v in net.validators), default=0)
-    m2 = max(max_stake, max_alloc)
-    return m1, m2, m2, max_stake, len(net.services)
+    return m1, max(max_stake, max_alloc)
 
 
 def build_budget_mip(net: Network) -> MipProblem:
@@ -117,7 +115,7 @@ def build_budget_mip(net: Network) -> MipProblem:
     the four costflag rows pin cost[v] = min(stake, aimed stake).
     """
     n, m = len(net.validators), len(net.services)
-    m1, m2, _, _, _ = big_m_constants(net)
+    m1, m2 = big_m_constants(net)
 
     # Layout: b (m) | z (n) | c (n) | alpha (n*m)
     off_b, off_z, off_c, off_a = 0, m, m + n, m + 2 * n
@@ -178,145 +176,6 @@ def build_budget_mip(net: Network) -> MipProblem:
     lp = LpProblem(objective=objective, sense="max", constraints=rows, bounds=bounds)
     integral = frozenset(range(off_b, off_b + m)) | frozenset(
         range(off_z, off_z + n)
-    )
-    return MipProblem(lp=lp, integral=integral, variable_names=names)
-
-
-def build_byzantine_mip(net: Network, budget) -> MipProblem:
-    """Minimum Byzantine weight enabling an attack within the budget.
-
-    Extends the budget program with byz[s] flags, post-slash stake remstake[v]
-    and allocations remalloc[v,s], and their linearization flags. Either some
-    service is attacked or every service is Byzantine; a Byzantine service
-    cannot be attacked; the attack must clear cost <= prize + budget. Base
-    services (and threshold-0 services, whose weight is infinite) have their
-    Byzantine flag pinned to zero.
-    """
-    if budget < 0:
-        raise InputError("budget must be non-negative")
-    n, m = len(net.validators), len(net.services)
-    m1, m2, m3, m4, m5 = big_m_constants(net)
-
-    # Layout: b (m) | y (m) | u (1) | z (n) | zs (n) | c (n) | r (n)
-    #         | alpha (n*m) | rem (n*m) | zz (n*m)
-    off_b = 0
-    off_y = m
-    off_u = 2 * m
-    off_z = off_u + 1
-    off_zs = off_z + n
-    off_c = off_zs + n
-    off_r = off_c + n
-    off_a = off_r + n
-    off_rem = off_a + n * m
-    off_zz = off_rem + n * m
-    nvars = off_zz + n * m
-    a_idx = lambda i, j: off_a + i * m + j
-    rem_idx = lambda i, j: off_rem + i * m + j
-    zz_idx = lambda i, j: off_zz + i * m + j
-
-    names: dict[int, str] = {off_u: "allbyz"}
-    bounds: list[tuple[float, float | None]] = [(0.0, None)] * nvars
-    bounds[off_u] = (0.0, 1.0)
-    for j, s in enumerate(net.services):
-        names[off_b + j] = f"attacked[{s}]"
-        bounds[off_b + j] = (0.0, 1.0)
-        names[off_y + j] = f"byz[{s}]"
-        pinned = s in net.base_services or net.threshold[s] == 0
-        bounds[off_y + j] = (0.0, 0.0) if pinned else (0.0, 1.0)
-    for i, v in enumerate(net.validators):
-        names[off_z + i] = f"costflag[{v}]"
-        bounds[off_z + i] = (0.0, 1.0)
-        names[off_zs + i] = f"stakeflag[{v}]"
-        bounds[off_zs + i] = (0.0, 1.0)
-        names[off_c + i] = f"cost[{v}]"
-        bounds[off_c + i] = (0.0, float(net.stake[v]))
-        names[off_r + i] = f"remstake[{v}]"
-        bounds[off_r + i] = (0.0, float(net.stake[v]))
-    for i, v in enumerate(net.validators):
-        for j, s in enumerate(net.services):
-            names[a_idx(i, j)] = f"attack[{v},{s}]"
-            bounds[a_idx(i, j)] = (0.0, float(net.w(v, s)))
-            names[rem_idx(i, j)] = f"remalloc[{v},{s}]"
-            bounds[rem_idx(i, j)] = (0.0, float(net.w(v, s)))
-            names[zz_idx(i, j)] = f"allocflag[{v},{s}]"
-            bounds[zz_idx(i, j)] = (0.0, 1.0)
-
-    rows: list[tuple[list[float], str, float]] = []
-
-    def row(entries: dict[int, float], rel: str, rhs: float) -> None:
-        coeffs = [0.0] * nvars
-        for k, val in entries.items():
-            coeffs[k] = val
-        rows.append((coeffs, rel, rhs))
-
-    # Either at least one attacked service, or all services Byzantine.
-    row({**{off_b + j: 1.0 for j in range(m)}, off_u: m5}, ">=", 1.0)
-    row({**{off_y + j: 1.0 for j in range(m)}, off_u: -m5}, ">=", float(m) - m5)
-    # The attack is budget-costly: prize - cost >= -budget. In the
-    # all-Byzantine branch (u = 1, so no attack) the requirement tightens to
-    # 0 >= budget, keeping total collapse a failure state only at budget 0.
-    row(
-        {
-            **{off_b + j: float(net.prize[s]) for j, s in enumerate(net.services)},
-            **{off_c + i: -1.0 for i in range(n)},
-            off_u: -2.0 * float(budget),
-        },
-        ">=",
-        -float(budget),
-    )
-
-    for j in range(m):
-        # A Byzantine service cannot be attacked.
-        row({off_b + j: 1.0, off_y + j: 1.0}, "<=", 1.0)
-
-    for i, v in enumerate(net.validators):
-        aimed = {a_idx(i, j): 1.0 for j in range(m)}
-        # cost = min(remaining stake, aimed stake)
-        row({off_c + i: 1.0, off_r + i: -1.0}, "<=", 0.0)
-        row({off_c + i: 1.0, **{k: -c for k, c in aimed.items()}}, "<=", 0.0)
-        row({off_c + i: 1.0, off_r + i: -1.0, off_z + i: m2}, ">=", 0.0)
-        row(
-            {off_c + i: 1.0, off_z + i: -m2, **{k: -c for k, c in aimed.items()}},
-            ">=",
-            -m2,
-        )
-        # remaining stake = max(0, stake - slashed allocations)
-        slash = {off_y + j: float(net.w(v, s)) for j, s in enumerate(net.services)}
-        row({off_r + i: 1.0, **slash}, ">=", float(net.stake[v]))
-        row({off_r + i: 1.0, **slash, off_zs + i: -m3}, "<=", float(net.stake[v]))
-        row({off_r + i: 1.0, off_zs + i: m3}, "<=", m3)
-
-    for j, s in enumerate(net.services):
-        # Threshold over the post-slash allocations, active when attacked.
-        entries = {a_idx(i, j): 1.0 for i in range(n)}
-        for i in range(n):
-            entries[rem_idx(i, j)] = -float(net.threshold[s])
-        entries[off_b + j] = -m1
-        row(entries, ">=", -m1)
-
-    for i, v in enumerate(net.validators):
-        for j, s in enumerate(net.services):
-            w = float(net.w(v, s))
-            # attacking stake is limited by the post-slash allocation
-            row({a_idx(i, j): 1.0, rem_idx(i, j): -1.0}, "<=", 0.0)
-            # post-slash allocation = min(original allocation, remaining stake)
-            row({rem_idx(i, j): 1.0, off_r + i: -1.0}, "<=", 0.0)
-            row({rem_idx(i, j): 1.0, zz_idx(i, j): m4}, ">=", w)
-            row({rem_idx(i, j): 1.0, off_r + i: -1.0, zz_idx(i, j): -m4}, ">=", -m4)
-
-    objective = [0.0] * nvars
-    for j, s in enumerate(net.services):
-        weight = service_weight(net, s)
-        objective[off_y + j] = 0.0 if math.isinf(weight) else float(weight)
-
-    lp = LpProblem(objective=objective, sense="min", constraints=rows, bounds=bounds)
-    integral = (
-        frozenset(range(off_b, off_b + m))
-        | frozenset(range(off_y, off_y + m))
-        | {off_u}
-        | frozenset(range(off_z, off_z + n))
-        | frozenset(range(off_zs, off_zs + n))
-        | frozenset(range(off_zz, off_zz + n * m))
     )
     return MipProblem(lp=lp, integral=integral, variable_names=names)
 
@@ -428,59 +287,6 @@ def _service_class(net: Network, s: str) -> tuple:
     return net.threshold[s], net.prize[s], tuple(net.w(v, s) for v in net.validators)
 
 
-def _identical_nonbase_services(net: Network) -> bool:
-    eligible = [s for s in net.services if s not in net.base_services]
-    return len({_service_class(net, s) for s in eligible}) <= 1
-
-
-def _attackable_at(net: Network, budget) -> bool:
-    """True when a budget-costly attack exists (ties go to the attacker)."""
-    return bool(net.services) and attackable(max_attack_profit(net)[0], budget)
-
-
-def max_byzantine_fraction(net: Network, budget) -> float:
-    """Largest weighted fraction of Byzantine services the network tolerates.
-
-    Returns the fraction (of the total non-base prize-to-threshold weight)
-    just below the cheapest Byzantine set that enables a budget-costly
-    attack, stepping inside the open boundary by the solve precision. 1.0
-    means no Byzantine set breaks the network; 0.0 means the intact network
-    is already attackable at this budget.
-    """
-    if budget < 0:
-        raise InputError("budget must be non-negative")
-    total = total_byzantine_weight(net)
-    if total == 0:
-        return 0.0 if _attackable_at(net, budget) else 1.0
-
-    eligible = [s for s in net.services if s not in net.base_services]
-    if _identical_nonbase_services(net):
-        # Symmetric shortcut: only the count of Byzantine services matters.
-        unit = service_weight(net, eligible[0])
-        breaking_weight = None
-        for count in range(len(eligible) + 1):
-            slashed = apply_byzantine(net, eligible[:count])
-            if slashed.services:
-                broken = _attackable_at(slashed, budget)
-            else:
-                # Everything Byzantine: no attack exists, which the weight
-                # program counts as a failure state only at budget 0.
-                broken = budget <= 0
-            if broken:
-                breaking_weight = count * unit
-                break
-        if breaking_weight is None:
-            return 1.0
-    else:
-        solution = solve_mip(build_byzantine_mip(net, budget))
-        if solution.status == INFEASIBLE:
-            return 1.0
-        breaking_weight = solution.objective_value
-
-    fraction = (breaking_weight - PRECISION) / total
-    return min(1.0, max(0.0, fraction))
-
-
 @dataclass
 class RobustnessReport:
     """Outcome of a robustness check, with a witness when it fails."""
@@ -505,13 +311,16 @@ def _attack_from_values(problem: MipProblem, values: np.ndarray) -> Attack:
     return Attack(stake_used=used)
 
 
-def distinct_byzantine_subsets(net: Network, weight_cap) -> Iterator[tuple[str, ...]]:
-    """Admissible Byzantine subsets, one per multiset of service classes.
+def distinct_byzantine_subsets(
+    net: Network, weight_cap
+) -> Iterator[tuple[tuple[str, ...], Network]]:
+    """Admissible Byzantine subsets, each with the network its slashing leaves.
 
     Subsets drawing the same number of services from each class of
     interchangeable services lead to the same post-slash network up to
-    renaming. Only the first such subset, in :func:`byzantine_subsets`
-    order, is yielded.
+    renaming, so only the first such subset, in :func:`byzantine_subsets`
+    order, is yielded. A subset that leaves no service is skipped: nothing is
+    left to attack.
     """
     class_of = {s: _service_class(net, s) for s in net.services}
     seen: set[tuple] = set()
@@ -520,24 +329,21 @@ def distinct_byzantine_subsets(net: Network, weight_cap) -> Iterator[tuple[str, 
         if signature in seen:
             continue
         seen.add(signature)
-        yield subset
+        slashed = apply_byzantine(net, subset)
+        if slashed.services:
+            yield subset, slashed
 
 
 def mip_check(net: Network, budget, weight_cap) -> RobustnessReport:
     """Decide robustness against a budget and a Byzantine weight cap.
 
-    Every admissible Byzantine subset (deduplicated by service equivalence
-    class, since interchangeable services lead to the same post-slash state)
-    is applied, and the budget program decides whether the remaining network
-    can be attacked within the budget. The first failing subset is reported
-    with its witness attack.
+    The budget program decides, for each distinct admissible Byzantine
+    subset, whether the network its slashing leaves can be attacked within
+    the budget. The first failing subset is reported with its witness attack.
     """
     if budget < 0:
         raise InputError("budget must be non-negative")
-    for subset in distinct_byzantine_subsets(net, weight_cap):
-        slashed = apply_byzantine(net, subset)
-        if not slashed.services:
-            continue  # nothing left to attack
+    for subset, slashed in distinct_byzantine_subsets(net, weight_cap):
         profit, attack = max_attack_profit(slashed)
         if attackable(profit, budget):
             evaluation = evaluate_attack(slashed, attack)
@@ -552,6 +358,31 @@ def mip_check(net: Network, budget, weight_cap) -> RobustnessReport:
                 prize=float(evaluation.total_prize),
             )
     return RobustnessReport(robust=True, budget=budget, weight_cap=weight_cap)
+
+
+def max_byzantine_fraction(net: Network, budget) -> float:
+    """Largest weighted fraction of Byzantine services the network tolerates.
+
+    The breaking weight is the least prize-to-threshold weight of a Byzantine
+    subset after which a budget-costly attack exists; turning every service
+    Byzantine leaves nothing to attack and counts as a failure only at budget
+    0. Returns the breaking weight's fraction of the total non-base weight,
+    stepped inside the open boundary by the solve precision: 1.0 means no
+    Byzantine set breaks the network, 0.0 that the intact network is already
+    attackable at this budget.
+    """
+    if budget < 0:
+        raise InputError("budget must be non-negative")
+    total = total_byzantine_weight(net)
+    collapse = budget <= 0 and not net.base_services and 0 < total < math.inf
+    best = total if collapse else math.inf
+    for subset, slashed in distinct_byzantine_subsets(net, math.inf):
+        weight = sum(service_weight(net, s) for s in subset)
+        if weight < best and attackable(max_attack_profit(slashed)[0], budget):
+            best = weight
+    if math.isinf(best):
+        return 1.0
+    return max(0.0, (best - PRECISION) / total) if total else 0.0
 
 
 def _sanitize(name: str) -> str:

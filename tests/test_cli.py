@@ -217,6 +217,20 @@ class TestSweep:
             "min_budget_no_base,min_budget_total"
         )
 
+    def test_default_fraction_grids_stop_at_one(self, tmp_path):
+        # The default grids are k/n; with n = 4 they end at 4/4, since a
+        # larger fraction admits the same Byzantine sets as 1.
+        config = write(
+            tmp_path, "sweeps.json",
+            {"sweeps": [{"name": "fig5", "n": 4, "degrees": [1.0]},
+                        {"name": "fig6", "n": 4}]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", config, "--out", str(out)]) == 0
+        for name in ("figure5.csv", "figure6.csv"):
+            rows = (out / name).read_text().splitlines()[1:]
+            assert [float(row.split(",")[0]) for row in rows] == [k / 4 for k in range(5)]
+
     def test_empty_sweep_list_warns(self, tmp_path, capsys):
         config = write(tmp_path, "sweeps.json", {"sweeps": []})
         assert main(["sweep", config, "--out", str(tmp_path / "out")]) == 0

@@ -18,8 +18,6 @@ from restaking.lp import INFEASIBLE, OPTIMAL
 from restaking.mip import (
     MipProblem,
     build_budget_mip,
-    build_byzantine_mip,
-    max_attack_profit,
     solve_mip,
 )
 
@@ -79,18 +77,3 @@ def test_eight_wide_budget_mips_match_highs():
         assert_agrees(build_budget_mip(net))
         done += 1
 
-
-def test_byzantine_mip_matches_highs():
-    # Networks that are secure when intact, so the cheapest breaking
-    # Byzantine set is not empty, at budget 0 and at a positive budget.
-    rng = random.Random(78)
-    for size in (2, 3):
-        done = 0
-        while done < 4:
-            net = random_network(rng, max_validators=size, max_services=size,
-                                 allow_empty_service=False)
-            if len(net.services) < 2 or max_attack_profit(net)[0] >= 0:
-                continue
-            assert_agrees(build_byzantine_mip(net, 0.0))
-            assert_agrees(build_byzantine_mip(net, 0.25))
-            done += 1
