@@ -3,18 +3,25 @@
 The budget program maximizes attack profit (prize minus stake-capped cost)
 over allocation-divisible attacks; its optimum y decides robustness: the
 network is insecure iff y >= 0 and otherwise robust against any adversary
-budget below -y. It uses big-M linearizations of the min expressions in the
-attack cost and the threshold requirement.
+budget below -y. It linearizes the min expressions in the attack cost and
+the threshold requirement with one big-M per row, each the smallest the row
+admits: a validator's stake, its total allocation, a service's required
+stake.
 
 Every Byzantine question reduces one generator,
 :func:`distinct_byzantine_subsets`, which yields each admissible Byzantine
 subset (one per multiset of interchangeable services) with the network its
-slashing leaves, and solves the budget program on that network:
+slashing leaves, and asks the budget program about that network:
 :func:`mip_check` takes the first attackable subset,
 :func:`max_byzantine_fraction` the lightest, and
-``experiments.min_stake_mip`` the largest minimum stake. The embedded
-branch-and-bound solver keeps runs deterministic and proves optima to a 1e-6
-gap; instances stay desk-scale by construction (a few dozen binaries).
+``experiments.min_stake_mip`` the largest minimum stake. The first two only
+ask whether some attack clears the budget, so their branch and bound runs in
+decision mode and stops at the first attack that does; the third needs the
+optimum. Every attack returned is re-scored by ``evaluate_attack`` on the
+network it was solved on, and a score that contradicts the solver raises
+:class:`MipStatusError`. The embedded branch-and-bound solver keeps runs
+deterministic; instances stay desk-scale by construction (a few dozen
+binaries).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import numpy as np
 from .lp import INFEASIBLE, OPTIMAL, LpProblem, LpSolution, solve_lp
 from .model import (
     Attack,
+    AttackEvaluation,
     InputError,
     Network,
     apply_byzantine,
@@ -44,7 +52,7 @@ __all__ = [
     "MipSolution",
     "MipNodeLimitError",
     "MipStatusError",
-    "big_m_constants",
+    "BELOW_TARGET",
     "build_budget_mip",
     "solve_mip",
     "max_attack_profit",
@@ -57,10 +65,18 @@ __all__ = [
     "write_lp_format",
 ]
 
-#: Solve precision: integrality tolerance and the certified optimality gap.
+#: Solve precision: integrality tolerance and attack-entry cutoff.
 PRECISION = 1e-6
 
 _BOUNDARY_TOL = 1e-9
+
+#: Largest gap between a witness's evaluated profit and the optimum the
+#: branch and bound reports, relative to the largest stake or prize.
+_CERTIFICATE_TOL = 1e-9
+
+#: Status of a decision-mode solve in which no integral solution reaches the
+#: target (for the budget program, which is always feasible: no attack does).
+BELOW_TARGET = "below target"
 
 
 @dataclass
@@ -89,22 +105,8 @@ class MipNodeLimitError(RuntimeError):
 
 
 class MipStatusError(RuntimeError):
-    """A program that always has an optimum was not solved to optimality."""
-
-
-def big_m_constants(net: Network) -> tuple[float, float]:
-    """Big-M constants (M1, M2) of the budget program, sized from the data.
-
-    M1 bounds the per-service threshold requirement and M2 bounds stake and
-    per-validator total allocation.
-    """
-    m1 = max(
-        (net.threshold[s] * net.total_allocation(s) for s in net.services),
-        default=0,
-    )
-    max_stake = max((net.stake[v] for v in net.validators), default=0)
-    max_alloc = max((net.validator_allocation(v) for v in net.validators), default=0)
-    return m1, max(max_stake, max_alloc)
+    """A program that always has an optimum was not solved to optimality, or
+    the attack it returned fails its re-check by ``evaluate_attack``."""
 
 
 def build_budget_mip(net: Network) -> MipProblem:
@@ -112,10 +114,12 @@ def build_budget_mip(net: Network) -> MipProblem:
 
     Variables: attacked[s] and costflag[v] binaries, cost[v] in [0, stake],
     attack[v,s] in [0, allocation]. At least one service must be attacked;
-    the four costflag rows pin cost[v] = min(stake, aimed stake).
+    an attacked service receives its required stake. The three cost rows
+    pin cost[v] = min(stake, aimed stake): cost <= aimed, cost >=
+    stake * (1 - flag) and cost >= aimed - allocation * (1 - flag), where
+    the validator's total allocation bounds its aimed stake.
     """
     n, m = len(net.validators), len(net.services)
-    m1, m2 = big_m_constants(net)
 
     # Layout: b (m) | z (n) | c (n) | alpha (n*m)
     off_b, off_z, off_c, off_a = 0, m, m + n, m + 2 * n
@@ -149,23 +153,20 @@ def build_budget_mip(net: Network) -> MipProblem:
     row({off_b + j: 1.0 for j in range(m)}, ">=", 1.0)
 
     for i, v in enumerate(net.validators):
-        aimed = {a_idx(i, j): 1.0 for j in range(m)}
+        aimed = {a_idx(i, j): -1.0 for j in range(m)}
+        stake = float(net.stake[v])
+        allocated = float(net.validator_allocation(v))
         # cost <= aimed stake
-        row({off_c + i: 1.0, **{k: -c for k, c in aimed.items()}}, "<=", 0.0)
-        # cost >= stake - M2 * flag
-        row({off_c + i: 1.0, off_z + i: m2}, ">=", float(net.stake[v]))
-        # cost >= aimed - M2 * (1 - flag)
-        row(
-            {off_c + i: 1.0, off_z + i: -m2, **{k: -c for k, c in aimed.items()}},
-            ">=",
-            -m2,
-        )
+        row({off_c + i: 1.0, **aimed}, "<=", 0.0)
+        # cost >= stake * (1 - flag)
+        row({off_c + i: 1.0, off_z + i: stake}, ">=", stake)
+        # cost >= aimed - allocated * (1 - flag)
+        row({off_c + i: 1.0, off_z + i: -allocated, **aimed}, ">=", -allocated)
 
     for j, s in enumerate(net.services):
-        required = net.threshold[s] * net.total_allocation(s)
-        entries = {a_idx(i, j): 1.0 for i in range(n)}
-        entries[off_b + j] = -m1
-        row(entries, ">=", float(required) - m1)
+        required = float(net.threshold[s] * net.total_allocation(s))
+        # aimed at s >= required * attacked[s]
+        row({**{a_idx(i, j): 1.0 for i in range(n)}, off_b + j: -required}, ">=", 0.0)
 
     objective = [0.0] * nvars
     for j, s in enumerate(net.services):
@@ -180,15 +181,23 @@ def build_budget_mip(net: Network) -> MipProblem:
     return MipProblem(lp=lp, integral=integral, variable_names=names)
 
 
-def solve_mip(problem: MipProblem, node_limit: int = 200_000) -> MipSolution:
+def solve_mip(problem: MipProblem, node_limit: int = 200_000,
+              target: float | None = None) -> MipSolution:
     """Branch-and-bound over the binary variables.
 
     Best-first on the relaxation bound, branching on the most fractional
     binary (ties to the lowest index), so runs are deterministic. Each child
     is solved warm from its parent's final tableau with the branched binary
-    fixed. The returned optimum is proven to within the 1e-6 gap; exceeding
-    the node budget raises :class:`MipNodeLimitError` with the incumbent
-    attached.
+    fixed. A node is pruned when its bound is no better than the incumbent's
+    objective, so the returned solution is optimal (status OPTIMAL), or
+    INFEASIBLE when no integral solution exists.
+
+    With a target the search answers the decision question instead: nodes
+    whose bound is strictly worse than the target are pruned (a bound equal
+    to it is kept), and the first integral node is returned; its polished
+    solution reaches the target but need not be optimal. When no node is
+    left the status is BELOW_TARGET. Exceeding the node budget raises
+    :class:`MipNodeLimitError` with the incumbent attached.
     """
     direction = -1.0 if problem.lp.sense == "max" else 1.0  # heap pops the best bound
     integral = np.array(sorted(problem.integral), dtype=int)
@@ -200,7 +209,9 @@ def solve_mip(problem: MipProblem, node_limit: int = 200_000) -> MipSolution:
     heap: list[tuple[float, int, LpSolution]] = [(direction * root.objective_value, 0, root)]
     counter = nodes = 0
     incumbent: LpSolution | None = None
-    cutoff = math.inf  # the incumbent's heap key; only nodes below it can improve
+    # Only nodes whose heap key is below the cutoff can improve: the
+    # incumbent's key, or the least key worse than the target's.
+    cutoff = math.inf if target is None else math.nextafter(direction * target, math.inf)
 
     while heap:
         key, _, relax = heapq.heappop(heap)
@@ -213,6 +224,8 @@ def solve_mip(problem: MipProblem, node_limit: int = 200_000) -> MipSolution:
         binaries = relax.values[integral]
         fractional = np.abs(binaries - np.round(binaries))
         if not integral.size or fractional.max() <= PRECISION:
+            if target is not None:
+                return _polish(problem, relax)
             incumbent, cutoff = relax, key
             continue
         # Most fractional binary; ties resolved toward the lowest index.
@@ -223,6 +236,8 @@ def solve_mip(problem: MipProblem, node_limit: int = 200_000) -> MipSolution:
                 counter += 1
                 heapq.heappush(heap, (direction * child.objective_value, counter, child))
 
+    if target is not None:
+        return MipSolution(status=BELOW_TARGET)
     if incumbent is None:
         return MipSolution(status=INFEASIBLE)
     return _polish(problem, incumbent)
@@ -238,12 +253,7 @@ def _polish(problem: MipProblem, incumbent: LpSolution) -> MipSolution:
     rounded = np.round(incumbent.values[integral])
     clean = solve_lp(problem.lp, start=incumbent, fix=dict(zip(integral, rounded)))
     if clean.status != OPTIMAL:  # cannot happen for a true incumbent
-        return MipSolution(
-            status=OPTIMAL,
-            values=incumbent.values,
-            objective_value=incumbent.objective_value,
-            gap=PRECISION,
-        )
+        raise MipStatusError(f"incumbent with its binaries rounded ended {clean.status}")
     return MipSolution(
         status=OPTIMAL,
         values=clean.values,
@@ -252,17 +262,53 @@ def _polish(problem: MipProblem, incumbent: LpSolution) -> MipSolution:
     )
 
 
+def _witness(net: Network, problem: MipProblem,
+             solution: MipSolution) -> tuple[Attack, AttackEvaluation]:
+    """The attack a budget-program solution encodes, scored on net itself."""
+    if solution.status != OPTIMAL:
+        raise MipStatusError(f"budget MIP ended {solution.status}, not optimal")
+    attack = _attack_from_values(problem, solution.values)
+    return attack, evaluate_attack(net, attack)
+
+
 def max_attack_profit(net: Network) -> tuple[float, Attack]:
     """Optimal value of the budget program on net, with an attack reaching it.
 
     Attacking every service with every allocation is always feasible, so any
-    status but OPTIMAL is a solver failure and raises MipStatusError.
+    status but OPTIMAL is a solver failure and raises MipStatusError; so does
+    an attack whose profit, as ``evaluate_attack`` scores it, is not the
+    optimum the solver reports.
     """
     problem = build_budget_mip(net)
     solution = solve_mip(problem)
-    if solution.status != OPTIMAL:
-        raise MipStatusError(f"budget MIP ended {solution.status}, not optimal")
-    return solution.objective_value, _attack_from_values(problem, solution.values)
+    attack, evaluation = _witness(net, problem, solution)
+    scale = max(map(float, (*net.stake.values(), *net.prize.values())), default=0.0)
+    if abs(float(evaluation.margin) - solution.objective_value) > _CERTIFICATE_TOL * scale:
+        raise MipStatusError(
+            f"budget MIP reports profit {solution.objective_value!r} but its "
+            f"attack scores {float(evaluation.margin)!r}"
+        )
+    return solution.objective_value, attack
+
+
+def _attack_within(net: Network, budget) -> tuple[Attack, AttackEvaluation] | None:
+    """An attack on net whose profit clears -budget, or None when none does.
+
+    The budget program runs in decision mode at the tie rule of
+    :func:`attackable`; an attack it returns that does not clear the budget
+    once scored by ``evaluate_attack`` raises MipStatusError.
+    """
+    problem = build_budget_mip(net)
+    solution = solve_mip(problem, target=-budget - _BOUNDARY_TOL)
+    if solution.status == BELOW_TARGET:
+        return None
+    attack, evaluation = _witness(net, problem, solution)
+    if not attackable(evaluation.margin, budget):
+        raise MipStatusError(
+            f"budget MIP returned an attack scoring {float(evaluation.margin)!r}, "
+            f"short of -{budget}"
+        )
+    return attack, evaluation
 
 
 def attackable(profit, budget) -> bool:
@@ -344,9 +390,9 @@ def mip_check(net: Network, budget, weight_cap) -> RobustnessReport:
     if budget < 0:
         raise InputError("budget must be non-negative")
     for subset, slashed in distinct_byzantine_subsets(net, weight_cap):
-        profit, attack = max_attack_profit(slashed)
-        if attackable(profit, budget):
-            evaluation = evaluate_attack(slashed, attack)
+        found = _attack_within(slashed, budget)
+        if found is not None:
+            attack, evaluation = found
             return RobustnessReport(
                 robust=False,
                 budget=budget,
@@ -378,7 +424,7 @@ def max_byzantine_fraction(net: Network, budget) -> float:
     best = total if collapse else math.inf
     for subset, slashed in distinct_byzantine_subsets(net, math.inf):
         weight = sum(service_weight(net, s) for s in subset)
-        if weight < best and attackable(max_attack_profit(slashed)[0], budget):
+        if weight < best and _attack_within(slashed, budget) is not None:
             best = weight
     if math.isinf(best):
         return 1.0

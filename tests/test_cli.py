@@ -19,6 +19,7 @@ from restaking.symmetry import SweepTemplate
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_SWEEPS = json.loads((GOLDEN / "presets.json").read_text(encoding="utf-8"))["sweeps"]
+CHECK_CORPUS = Path(__file__).parents[1] / "perfbench" / "reference" / "check-corpus.json"
 
 FIG_ATOMIC = {
     "validators": [{"id": "v1", "stake": 20}, {"id": "v2", "stake": 20}],
@@ -184,12 +185,35 @@ class TestCheck:
 
     def test_solver_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
-            mip, "solve_mip", lambda problem: mip.MipSolution(status=INFEASIBLE)
+            mip, "solve_mip", lambda problem, **_: mip.MipSolution(status=INFEASIBLE)
         )
         path = write(tmp_path, "net.json", FIG_ATOMIC)
         assert main(["check", path, "--mip"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestCheckCorpus:
+    """`restaking check` gives the stored verdicts of the benchmark's check
+    corpus, run as the benchmark runs it: every stored (budget, fraction)
+    setting, with the brute-force oracle on networks of at most 4 x 4."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return json.loads(CHECK_CORPUS.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("key", [f"net{i:02d}" for i in range(10)])
+    def test_exit_codes_match_reference(self, tmp_path, corpus, key):
+        net = corpus["networks"][key]
+        path = write(tmp_path, f"{key}.json", net)
+        oracle = len(net["validators"]) <= 4 and len(net["services"]) <= 4
+        settings = [(op_id.split(":"), ref["outcome"])
+                    for op_id, ref in corpus["ops"].items()
+                    if op_id.startswith(f"{key}:")]
+        assert len(settings) == 6
+        for (_, budget, fraction), outcome in settings:
+            argv = ["check", path, "--budget", budget[1:], "--fraction", fraction[1:]]
+            assert main(argv + ["--oracle"] * oracle) == outcome, (key, budget, fraction)
 
 
 class TestSweep:

@@ -14,12 +14,15 @@ import random
 import numpy as np
 import pytest
 
+from restaking import mip
 from restaking.lp import INFEASIBLE, OPTIMAL
 from restaking.mip import (
+    BELOW_TARGET,
     MipProblem,
     build_budget_mip,
     solve_mip,
 )
+from restaking.model import evaluate_attack
 
 from conftest import random_network
 
@@ -77,3 +80,22 @@ def test_eight_wide_budget_mips_match_highs():
         assert_agrees(build_budget_mip(net))
         done += 1
 
+
+
+def test_decision_mode_brackets_highs_optimum():
+    # Just below the HiGHS optimum y an attack reaching the target exists;
+    # just above it none does.
+    rng = random.Random(2026)
+    for size in (2, 3, 4, 5, 6, 6):
+        for _ in range(3):
+            net = random_network(rng, max_validators=size, max_services=size)
+            problem = build_budget_mip(net)
+            status, y = highs(problem)
+            assert status == OPTIMAL
+            step = 1e-6 * max(1.0, abs(y))
+            reached = solve_mip(problem, target=y - step)
+            assert reached.status == OPTIMAL
+            assert reached.objective_value >= y - step
+            attack = mip._attack_from_values(problem, reached.values)
+            assert evaluate_attack(net, attack).margin >= y - step
+            assert solve_mip(problem, target=y + step).status == BELOW_TARGET

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -11,9 +12,10 @@ from restaking.bruteforce import best_attack, min_budget_bruteforce
 from restaking.lp import OPTIMAL, LpProblem, solve_lp
 from restaking.mip import (
     MipProblem,
-    big_m_constants,
+    MipStatusError,
     build_budget_mip,
     distinct_byzantine_subsets,
+    max_attack_profit,
     max_byzantine_fraction,
     min_budget,
     mip_check,
@@ -48,11 +50,33 @@ def three_by_three(stake=9, per_service=6, base=False):
     )
 
 
+def big_m_rows(net: Network) -> dict[tuple[str, str], tuple[float, float]]:
+    """Big-M coefficient and right-hand side of each indicator row, read off
+    the budget MIP: ("stake", v) is cost >= stake * (1 - flag), ("aimed", v)
+    is cost >= aimed - allocation * (1 - flag), both keyed by the costflag
+    coefficient, and ("required", s) is aimed >= required * attacked, keyed
+    by the attacked coefficient."""
+    problem = build_budget_mip(net)
+    col = {name: k for k, name in problem.variable_names.items()}
+    found = {}
+    for coeffs, rel, rhs in problem.lp.constraints:
+        for v in net.validators:
+            if rel == ">=" and coeffs[col[f"cost[{v}]"]] == 1:
+                aims = any(coeffs[col[f"attack[{v},{s}]"]] for s in net.services)
+                found["aimed" if aims else "stake", v] = (coeffs[col[f"costflag[{v}]"]], rhs)
+        for s in net.services:
+            if coeffs[col[f"attack[{net.validators[0]},{s}]"]] == 1:
+                found["required", s] = (coeffs[col[f"attacked[{s}]"]], rhs)
+    return found
+
+
 class TestBigM:
     def test_atomic_pair(self, fig_atomic):
-        m1, m2 = big_m_constants(fig_atomic)
-        assert m1 == 20  # 0.5 * 40
-        assert m2 == 20
+        rows = big_m_rows(fig_atomic)
+        for v in ("v1", "v2"):
+            assert rows["stake", v] == (20, 20)
+            assert rows["aimed", v] == (-20, -20)
+        assert rows["required", "s"] == (-20, 0)  # 0.5 * 40
 
     def test_stretched_validator(self):
         net = Network(
@@ -63,9 +87,11 @@ class TestBigM:
             threshold={f"s{i}": 0.5 for i in (1, 2, 3)},
             prize={f"s{i}": 1 for i in (1, 2, 3)},
         )
-        m1, m2 = big_m_constants(net)
-        assert m1 == 0.5  # 0.5 * 1 per service
-        assert m2 == 3  # total allocation exceeds the stake
+        rows = big_m_rows(net)
+        assert rows["stake", "v"] == (2, 2)
+        assert rows["aimed", "v"] == (-3, -3)  # total allocation exceeds the stake
+        for s in net.services:
+            assert rows["required", s] == (-0.5, 0)  # 0.5 * 1 per service
 
     def test_empty_allocations(self):
         net = Network(
@@ -76,7 +102,10 @@ class TestBigM:
             threshold={"s": 0.5},
             prize={"s": 1},
         )
-        assert big_m_constants(net)[0] == 0
+        rows = big_m_rows(net)
+        assert rows["stake", "v"] == (1, 1)
+        assert rows["aimed", "v"] == (0, 0)
+        assert rows["required", "s"] == (0, 0)
 
 
 class TestBudgetMip:
@@ -336,7 +365,7 @@ class TestSolveMip:
         checks: list[int] = []
         monkeypatch.setattr(mip, "solve_lp", checked)
         rng = random.Random(48)
-        for size in (3, 3, 4, 5, 6):
+        for size in (3, 3, 4, 5, 6, 4, 4):
             net = random_network(rng, max_validators=size, max_services=size)
             solve_mip(build_budget_mip(net))
             if size <= 4:
@@ -358,6 +387,28 @@ class TestMipCheck:
         assert report.attacked == ("s",)
         assert report.cost == pytest.approx(1, abs=1e-6)
         assert report.prize == pytest.approx(1, abs=1e-6)
+
+
+class TestCertificate:
+    def test_misreported_optimum_raises(self, fig_atomic, monkeypatch):
+        real = mip.solve_mip
+
+        def misreported(problem, **kwargs):
+            solution = real(problem, **kwargs)
+            return dataclasses.replace(
+                solution, objective_value=solution.objective_value + 1e-6)
+
+        monkeypatch.setattr(mip, "solve_mip", misreported)
+        with pytest.raises(MipStatusError, match="scores"):
+            max_attack_profit(fig_atomic)
+
+    def test_witness_short_of_the_budget_raises(self, fig_atomic, monkeypatch):
+        # A decision solve that ignores its target returns the optimum, a
+        # profit of -15, which does not clear budget 14.
+        real = mip.solve_mip
+        monkeypatch.setattr(mip, "solve_mip", lambda problem, **_: real(problem))
+        with pytest.raises(MipStatusError, match="short of"):
+            mip_check(fig_atomic, 14, 0)
 
 
 def test_lp_format_dump(fig_atomic):
