@@ -33,7 +33,7 @@ from .model import (
     InputError,
     Network,
     apply_byzantine,
-    byzantine_subsets,
+    byzantine_choices,
     byzantine_weight_cap,
     evaluate_attack,
     restaking_degree,
@@ -93,12 +93,9 @@ def _mip_engine(net: Network, budget, cap) -> tuple | None:
 
 
 def _oracle_engine(net: Network, budget, cap) -> tuple | None:
-    for subset in byzantine_subsets(net, cap):
-        slashed = apply_byzantine(net, subset)
-        if not slashed.services:
-            continue
+    for subset, slashed in byzantine_choices(net, cap):
         margin, attack = best_attack(slashed)
-        if margin >= -budget - 1e-9:
+        if mipmod.attackable(margin, budget):
             return subset, attack
     return None
 

@@ -26,6 +26,7 @@ from .model import (
     Attack,
     Network,
     apply_byzantine,
+    byzantine_choices,
     byzantine_weight_cap,
     evaluate_attack,
 )
@@ -264,7 +265,7 @@ def min_stake_mip(
     unit = template.build_network(1.0, degree)
     cap = byzantine_weight_cap(unit, f)
     stake = 0.0
-    for subset, slashed in mipmod.distinct_byzantine_subsets(unit, cap):
+    for subset, slashed in byzantine_choices(unit, cap):
         # The all-out attack's ratio is a lower bound on this choice's optimum.
         everything = Attack(stake_used=slashed.allocation)
         stake = max(stake, _cost_ratio(slashed, everything, budget))

@@ -9,19 +9,19 @@ admits: a validator's stake, its total allocation, a service's required
 stake.
 
 Every Byzantine question reduces one generator,
-:func:`distinct_byzantine_subsets`, which yields each admissible Byzantine
-subset (one per multiset of interchangeable services) with the network its
-slashing leaves, and asks the budget program about that network:
+:func:`restaking.model.byzantine_choices`, which yields one admissible
+Byzantine subset per multiset of interchangeable services with the network
+its slashing leaves, and asks the budget program about that network:
 :func:`mip_check` takes the first attackable subset,
 :func:`max_byzantine_fraction` the lightest, and
 ``experiments.min_stake_mip`` the largest minimum stake. The first two only
 ask whether some attack clears the budget, so their branch and bound runs in
 decision mode and stops at the first attack that does; the third needs the
-optimum. Every attack returned is re-scored by ``evaluate_attack`` on the
-network it was solved on, and a score that contradicts the solver raises
-:class:`MipStatusError`. The embedded branch-and-bound solver keeps runs
-deterministic; instances stay desk-scale by construction (a few dozen
-binaries).
+optimum. Every attack returned is read off the program's columns by
+position, re-scored by ``evaluate_attack`` on the network it was solved on,
+and a score that contradicts the solver raises :class:`MipStatusError`. The
+embedded branch-and-bound solver keeps runs deterministic; instances stay
+desk-scale by construction (a few dozen binaries).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from io import StringIO
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from .model import (
     AttackEvaluation,
     InputError,
     Network,
-    apply_byzantine,
-    byzantine_subsets,
+    byzantine_choices,
     evaluate_attack,
     service_weight,
     total_byzantine_weight,
@@ -60,7 +59,6 @@ __all__ = [
     "min_budget",
     "max_byzantine_fraction",
     "RobustnessReport",
-    "distinct_byzantine_subsets",
     "mip_check",
     "write_lp_format",
 ]
@@ -93,7 +91,6 @@ class MipSolution:
     status: str
     values: np.ndarray | None = None
     objective_value: float | None = None
-    gap: float = 0.0
 
 
 class MipNodeLimitError(RuntimeError):
@@ -121,7 +118,7 @@ def build_budget_mip(net: Network) -> MipProblem:
     """
     n, m = len(net.validators), len(net.services)
 
-    # Layout: b (m) | z (n) | c (n) | alpha (n*m)
+    # Layout: b (m) | z (n) | c (n) | alpha (n*m), alpha row-major by validator
     off_b, off_z, off_c, off_a = 0, m, m + n, m + 2 * n
     nvars = m + 2 * n + n * m
     a_idx = lambda i, j: off_a + i * m + j
@@ -258,16 +255,14 @@ def _polish(problem: MipProblem, incumbent: LpSolution) -> MipSolution:
         status=OPTIMAL,
         values=clean.values,
         objective_value=clean.objective_value,
-        gap=0.0,
     )
 
 
-def _witness(net: Network, problem: MipProblem,
-             solution: MipSolution) -> tuple[Attack, AttackEvaluation]:
+def _witness(net: Network, solution: MipSolution) -> tuple[Attack, AttackEvaluation]:
     """The attack a budget-program solution encodes, scored on net itself."""
     if solution.status != OPTIMAL:
         raise MipStatusError(f"budget MIP ended {solution.status}, not optimal")
-    attack = _attack_from_values(problem, solution.values)
+    attack = _attack_from_values(net, solution.values)
     return attack, evaluate_attack(net, attack)
 
 
@@ -281,7 +276,7 @@ def max_attack_profit(net: Network) -> tuple[float, Attack]:
     """
     problem = build_budget_mip(net)
     solution = solve_mip(problem)
-    attack, evaluation = _witness(net, problem, solution)
+    attack, evaluation = _witness(net, solution)
     scale = max(map(float, (*net.stake.values(), *net.prize.values())), default=0.0)
     if abs(float(evaluation.margin) - solution.objective_value) > _CERTIFICATE_TOL * scale:
         raise MipStatusError(
@@ -302,7 +297,7 @@ def _attack_within(net: Network, budget) -> tuple[Attack, AttackEvaluation] | No
     solution = solve_mip(problem, target=-budget - _BOUNDARY_TOL)
     if solution.status == BELOW_TARGET:
         return None
-    attack, evaluation = _witness(net, problem, solution)
+    attack, evaluation = _witness(net, solution)
     if not attackable(evaluation.margin, budget):
         raise MipStatusError(
             f"budget MIP returned an attack scoring {float(evaluation.margin)!r}, "
@@ -328,11 +323,6 @@ def min_budget(net: Network) -> float:
     return max(0.0, -profit)
 
 
-def _service_class(net: Network, s: str) -> tuple:
-    """Services with equal threshold, prize and allocations are interchangeable."""
-    return net.threshold[s], net.prize[s], tuple(net.w(v, s) for v in net.validators)
-
-
 @dataclass
 class RobustnessReport:
     """Outcome of a robustness check, with a witness when it fails."""
@@ -347,37 +337,14 @@ class RobustnessReport:
     prize: float | None = None
 
 
-def _attack_from_values(problem: MipProblem, values: np.ndarray) -> Attack:
-    used = {}
-    for idx, name in problem.variable_names.items():
-        if name.startswith("attack[") and values[idx] > PRECISION:
-            pair = name[len("attack[") : -1]
-            v, s = pair.split(",", 1)
-            used[(v, s)] = float(values[idx])
+def _attack_from_values(net: Network, values: np.ndarray) -> Attack:
+    """The attack a budget-program solution of net encodes, read off its alpha
+    block by position, so any id decodes."""
+    n, m = len(net.validators), len(net.services)
+    alpha = values[m + 2 * n:].reshape(n, m)
+    used = {(v, s): float(alpha[i, j]) for i, v in enumerate(net.validators)
+            for j, s in enumerate(net.services) if alpha[i, j] > PRECISION}
     return Attack(stake_used=used)
-
-
-def distinct_byzantine_subsets(
-    net: Network, weight_cap
-) -> Iterator[tuple[tuple[str, ...], Network]]:
-    """Admissible Byzantine subsets, each with the network its slashing leaves.
-
-    Subsets drawing the same number of services from each class of
-    interchangeable services lead to the same post-slash network up to
-    renaming, so only the first such subset, in :func:`byzantine_subsets`
-    order, is yielded. A subset that leaves no service is skipped: nothing is
-    left to attack.
-    """
-    class_of = {s: _service_class(net, s) for s in net.services}
-    seen: set[tuple] = set()
-    for subset in byzantine_subsets(net, weight_cap):
-        signature = tuple(sorted(class_of[s] for s in subset))
-        if signature in seen:
-            continue
-        seen.add(signature)
-        slashed = apply_byzantine(net, subset)
-        if slashed.services:
-            yield subset, slashed
 
 
 def mip_check(net: Network, budget, weight_cap) -> RobustnessReport:
@@ -389,7 +356,7 @@ def mip_check(net: Network, budget, weight_cap) -> RobustnessReport:
     """
     if budget < 0:
         raise InputError("budget must be non-negative")
-    for subset, slashed in distinct_byzantine_subsets(net, weight_cap):
+    for subset, slashed in byzantine_choices(net, weight_cap):
         found = _attack_within(slashed, budget)
         if found is not None:
             attack, evaluation = found
@@ -422,7 +389,7 @@ def max_byzantine_fraction(net: Network, budget) -> float:
     total = total_byzantine_weight(net)
     collapse = budget <= 0 and not net.base_services and 0 < total < math.inf
     best = total if collapse else math.inf
-    for subset, slashed in distinct_byzantine_subsets(net, math.inf):
+    for subset, slashed in byzantine_choices(net, math.inf):
         weight = sum(service_weight(net, s) for s in subset)
         if weight < best and _attack_within(slashed, budget) is not None:
             best = weight
@@ -435,7 +402,7 @@ def _sanitize(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
 
 
-def write_lp_format(problem: MipProblem, stream=None) -> str:
+def write_lp_format(problem: MipProblem) -> str:
     """Render a MIP as human-readable LP-format text for external checking."""
     lp = problem.lp
     n = lp.n_variables()
@@ -474,7 +441,4 @@ def write_lp_format(problem: MipProblem, stream=None) -> str:
     for i in sorted(problem.integral):
         out.write(f" {names[i]}\n")
     out.write("End\n")
-    text = out.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+    return out.getvalue()

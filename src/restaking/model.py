@@ -11,6 +11,11 @@ All operations are pure and preserve exact numeric types: networks built from
 ints or ``fractions.Fraction`` values are evaluated exactly, while float
 networks use a 1e-9 comparison tolerance with ties resolved toward the
 insecure side (an attack on the boundary counts as feasible / profitable).
+
+Byzantine choices: :func:`byzantine_subsets` lists every admissible subset,
+the reference; :func:`byzantine_choices` yields one per count vector over
+classes of interchangeable services from the generator the closed form in
+``symmetry`` reduces too, so every engine visits the same choices in order.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "InputError",
@@ -38,6 +43,7 @@ __all__ = [
     "is_beta_costly",
     "apply_byzantine",
     "byzantine_subsets",
+    "byzantine_choices",
     "byzantine_weight_cap",
     "service_weight",
     "total_byzantine_weight",
@@ -400,6 +406,66 @@ def byzantine_subsets(net: Network, weight_cap) -> Iterator[tuple[str, ...]]:
         for combo in combinations(eligible, size):
             if _le(sum(weights[s] for s in combo), weight_cap):
                 yield combo
+
+
+def _class_choices(eligible: Sequence[str], key: Callable[[str], Hashable],
+                   weight: Callable[[str], float], weight_cap) -> Iterator[tuple]:
+    """The one generator of Byzantine choices, over classes of interchangeable services.
+
+    ``eligible`` lists the services that may turn Byzantine in service order;
+    services with equal ``key`` form a class, whose members all have the
+    ``weight`` of its first. Yields ``(counts, representative)`` once per
+    count vector within ``weight_cap``: ``counts`` maps each class key with
+    Byzantine members to their number, and the representative is the first
+    that many members of each class. Choices come in :func:`byzantine_subsets`
+    order, of which each representative is its count vector's first subset.
+    """
+    if not weight_cap >= 0:  # written so that NaN fails too
+        raise InputError("weight_cap must be non-negative")
+    members: dict[Hashable, list[int]] = {}
+    for pos, s in enumerate(eligible):
+        members.setdefault(key(s), []).append(pos)
+    classes = [(k, p, weight(eligible[p[0]])) for k, p in members.items()]
+    # One level per size, extended in order: a representative is a smaller one
+    # plus a later service that is its class's next member. Weights are summed
+    # in service order and only grow, so a choice over the cap has no
+    # admissible extension.
+    level = [((0,) * len(classes), (), -1, 0)]
+    while level:
+        for counts, chosen, _, _ in level:
+            yield {k: c for (k, _, _), c in zip(classes, counts) if c}, chosen
+        grown = []
+        for counts, chosen, last, total in level:
+            nexts = sorted(
+                (positions[c], k)
+                for k, ((_, positions, _), c) in enumerate(zip(classes, counts))
+                if c < len(positions) and positions[c] > last
+            )
+            for pos, k in nexts:
+                heavier = total + classes[k][2]
+                if _le(heavier, weight_cap):
+                    more = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
+                    grown.append((more, chosen + (eligible[pos],), pos, heavier))
+        level = grown
+
+
+def byzantine_choices(net: Network, weight_cap) -> Iterator[tuple[tuple[str, ...], Network]]:
+    """One admissible Byzantine subset per count vector over classes of
+    interchangeable services, with the network its slashing leaves.
+
+    Services with equal threshold, prize and allocations are interchangeable:
+    subsets drawing as many from each class leave the same network up to
+    renaming. Each is the first of its kind in :func:`byzantine_subsets`
+    order, and they come in that order; those that leave no service are
+    skipped.
+    """
+    eligible = [s for s in net.services if s not in net.base_services]
+    column = lambda s: tuple(net.w(v, s) for v in net.validators)
+    key = lambda s: (net.threshold[s], net.prize[s], column(s))
+    for _, subset in _class_choices(eligible, key, lambda s: service_weight(net, s), weight_cap):
+        slashed = apply_byzantine(net, subset)
+        if slashed.services:
+            yield subset, slashed
 
 
 def eigenlayer_condition(net: Network) -> bool:

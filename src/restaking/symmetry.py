@@ -7,8 +7,10 @@ floor(threshold * n) validators commit their full allocation and one more
 validator commits the fractional remainder. Security and robustness checks
 therefore reduce to evaluating a closed-form cost over subsets of services,
 and subsets only matter through their (allocation, prize) class counts, so
-the enumeration is polynomial per class. One generator enumerates every
-admissible Byzantine choice with every consolidated attack after it;
+the enumeration is polynomial per class. Byzantine choices come from the
+class-count generator in :mod:`restaking.model` that every engine shares,
+one per count vector, and one generator here pairs each of them with every
+consolidated attack after it;
 :func:`is_f_beta_robust`, :func:`find_beta_costly` and :func:`max_budget`
 reduce it by any, first and min. Byzantine weight caps are absolute, as
 everywhere in the package (see :func:`restaking.model.byzantine_weight_cap`).
@@ -25,6 +27,7 @@ from .model import (
     Attack,
     InputError,
     Network,
+    _class_choices,
     _exact,
     _le,
     byzantine_weight_cap,
@@ -216,10 +219,9 @@ def _classes(sym: SymmetricNetwork) -> list[tuple[tuple, list[str]]]:
     return list(groups.items())
 
 
-def _slash_counts(
-    sym: SymmetricNetwork, byz: dict[tuple, int]
-) -> SymmetricNetwork | None:
-    """Network left after slashing ``byz[class-key]`` non-base services per class.
+def _slash(sym: SymmetricNetwork, byz: dict, names: tuple) -> SymmetricNetwork | None:
+    """Network left after the non-base services ``names``, ``byz[class-key]``
+    per (allocation, prize) class, turn Byzantine.
 
     Returns None when no services remain (the vacuous, trivially robust
     case), and the network itself for the empty choice. When slashing wipes
@@ -227,20 +229,14 @@ def _slash_counts(
     which evaluates identically for attacks (every cost term is capped by
     the zero allocation).
     """
-    if not byz and sym.allocation:
+    if not names and sym.allocation:
         return sym
     slashed_total = sum(key[0] * cnt for key, cnt in byz.items())
     new_stake = max(0, sym.stake - slashed_total)
-    remaining: dict[str, float] = {}
-    prizes: dict[str, float] = {}
-    removed = dict(byz)
-    for s in sym.services:
-        key = (sym.allocation[s], sym.prize[s])
-        if s not in sym.base_services and removed.get(key, 0) > 0:
-            removed[key] -= 1
-            continue
-        remaining[s] = min(sym.allocation[s], new_stake)
-        prizes[s] = sym.prize[s]
+    gone = set(names)
+    remaining = {
+        s: min(sym.allocation[s], new_stake) for s in sym.services if s not in gone
+    }
     if not remaining:
         return None
     return SymmetricNetwork(
@@ -248,45 +244,27 @@ def _slash_counts(
         stake=new_stake if new_stake > 0 else sym.stake,
         allocation=remaining,
         threshold=sym.threshold,
-        prize=prizes,
+        prize={s: sym.prize[s] for s in remaining},
         base_services=sym.base_services & set(remaining),
     )
-
-
-def _byzantine_count_choices(
-    sym: SymmetricNetwork, weight_cap
-) -> Iterator[dict[tuple, int]]:
-    """Count vectors over non-base service classes within the weight cap."""
-    if not weight_cap >= 0:  # written so that NaN fails too
-        raise InputError("weight_cap must be non-negative")
-    classes: dict[tuple, int] = {}
-    for s in sym.services:
-        if s in sym.base_services:
-            continue
-        key = (sym.allocation[s], sym.prize[s])
-        classes[key] = classes.get(key, 0) + 1
-    keys = list(classes)
-    weights = [
-        math.inf if sym.threshold == 0 else key[1] / sym.threshold for key in keys
-    ]
-    for counts in product(*(range(classes[key] + 1) for key in keys)):
-        weight = sum(cnt * w for cnt, w in zip(counts, weights) if cnt)
-        if _le(weight, weight_cap):
-            yield {key: cnt for key, cnt in zip(keys, counts) if cnt}
 
 
 def _consolidated_attacks(sym: SymmetricNetwork, weight_cap) -> Iterator[tuple]:
     """Every admissible Byzantine choice with every consolidated attack after it.
 
-    Yields ``(byz, slashed, classes, counts, cost, prize)``: ``byz`` counts
-    the Byzantine services per class (total weight within ``weight_cap``),
-    ``slashed`` is the network slashing leaves, and ``counts`` picks the
-    attacked services per class of ``classes = _classes(slashed)``; ``cost``
-    is the consolidated attack's cost and ``prize`` its prize. A choice that
-    removes every service leaves nothing to attack and yields nothing.
+    Yields ``(byz, slashed, classes, counts, cost, prize)``: ``byz`` names
+    the Byzantine services of one choice per count vector over (allocation,
+    prize) classes within ``weight_cap``, ``slashed`` is the network slashing
+    leaves, and ``counts`` picks the attacked services per class of
+    ``classes = _classes(slashed)``; ``cost`` is the consolidated attack's
+    cost and ``prize`` its prize. A choice that removes every service leaves
+    nothing to attack and yields nothing.
     """
-    for byz in _byzantine_count_choices(sym, weight_cap):
-        slashed = _slash_counts(sym, byz)
+    eligible = [s for s in sym.services if s not in sym.base_services]
+    key = lambda s: (sym.allocation[s], sym.prize[s])
+    weight = lambda s: math.inf if sym.threshold == 0 else sym.prize[s] / sym.threshold
+    for per_class, byz in _class_choices(eligible, key, weight, weight_cap):
+        slashed = _slash(sym, per_class, byz)
         if slashed is None:
             continue
         classes = _classes(slashed)
@@ -349,18 +327,11 @@ def find_beta_costly(
     ):
         if not _le(cost, prize + budget):
             continue
-        byzantine: list[str] = []
-        taken = dict(byz)
-        for s in sym.services:
-            key = (sym.allocation[s], sym.prize[s])
-            if s not in sym.base_services and taken.get(key, 0) > 0:
-                taken[key] -= 1
-                byzantine.append(s)
         target: list[str] = []
         for c, (_, ids) in zip(counts, classes):
             target.extend(ids[:c])
         return SymmetricViolation(
-            byzantine=tuple(byzantine),
+            byzantine=byz,
             target=tuple(target),
             attack=consolidated_attack(slashed, target),
             cost=cost,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from restaking import mip
+from restaking import cli, mip
 from restaking.bruteforce import best_attack
 from restaking.cli import _sweep_entries, main
 from restaking.lp import INFEASIBLE
@@ -191,6 +191,40 @@ class TestCheck:
         assert main(["check", path, "--mip"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_comma_in_validator_id(self, tmp_path, capsys):
+        # The MIP witness is read off its columns, not parsed from names.
+        payload = {
+            "validators": [{"id": "a,b", "stake": 2}, {"id": "c", "stake": 3}],
+            "services": [{"id": "s", "threshold": 1, "prize": 1}],
+            "allocations": [{"validator": "a,b", "service": "s", "amount": 1}],
+        }
+        path = write(tmp_path, "net.json", payload)
+        assert main(["check", path]) == 1
+        out = capsys.readouterr().out
+        assert "witness (mip)" in out and "a,b: s=1.000000" in out
+
+    def test_oracle_solves_each_class_choice_once(self, tmp_path, monkeypatch):
+        # Six identical services at fraction 1/2: 42 Byzantine subsets of at
+        # most three services, but only four counts (0 to 3) of them.
+        validators = [f"v{i}" for i in range(1, 7)]
+        services = [f"s{j}" for j in range(1, 7)]
+        payload = {
+            "validators": [{"id": v, "stake": 10} for v in validators],
+            "services": [{"id": s, "threshold": 0.5, "prize": 2} for s in services],
+            "allocations": [{"validator": v, "service": s, "amount": 1}
+                            for v in validators for s in services],
+        }
+        solved = []
+
+        def counted(net):
+            solved.append(net)
+            return best_attack(net)
+
+        monkeypatch.setattr(cli, "best_attack", counted)
+        path = write(tmp_path, "net.json", payload)
+        assert main(["check", path, "--fraction", "0.5", "--oracle"]) == 0
+        assert len(solved) == 4
 
 
 class TestCheckCorpus:

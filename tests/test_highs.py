@@ -96,6 +96,6 @@ def test_decision_mode_brackets_highs_optimum():
             reached = solve_mip(problem, target=y - step)
             assert reached.status == OPTIMAL
             assert reached.objective_value >= y - step
-            attack = mip._attack_from_values(problem, reached.values)
+            attack = mip._attack_from_values(net, reached.values)
             assert evaluate_attack(net, attack).margin >= y - step
             assert solve_mip(problem, target=y + step).status == BELOW_TARGET

@@ -14,7 +14,6 @@ from restaking.mip import (
     MipProblem,
     MipStatusError,
     build_budget_mip,
-    distinct_byzantine_subsets,
     max_attack_profit,
     max_byzantine_fraction,
     min_budget,
@@ -25,6 +24,7 @@ from restaking.mip import (
 from restaking.model import (
     Network,
     apply_byzantine,
+    byzantine_choices,
     byzantine_subsets,
     generalized_eigenlayer_condition,
     service_weight,
@@ -283,11 +283,12 @@ class TestSolveMip:
         assert sol.objective_value == pytest.approx(relaxed.objective_value)
         assert np.allclose(sol.values, relaxed.values)
 
-    def test_gap_within_precision(self, fig_atomic):
-        sol = solve_mip(build_budget_mip(fig_atomic))
-        assert sol.gap <= 1e-6
-        rounded = [round(sol.values[i]) for i in build_budget_mip(fig_atomic).integral]
-        assert all(r in (0, 1) for r in rounded)
+    def test_binaries_integral(self, fig_atomic):
+        problem = build_budget_mip(fig_atomic)
+        sol = solve_mip(problem)
+        binaries = [sol.values[i] for i in problem.integral]
+        assert all(abs(b - round(b)) <= mip.PRECISION for b in binaries)
+        assert all(round(b) in (0, 1) for b in binaries)
 
     def test_determinism(self):
         rng = random.Random(45)
@@ -370,7 +371,7 @@ class TestSolveMip:
             solve_mip(build_budget_mip(net))
             if size <= 4:
                 # The programs mip_check solves at an unlimited cap.
-                for subset, slashed in distinct_byzantine_subsets(net, math.inf):
+                for subset, slashed in byzantine_choices(net, math.inf):
                     if subset:
                         solve_mip(build_budget_mip(slashed))
         assert len(checks) >= 200

@@ -12,6 +12,7 @@ from restaking.model import (
     Network,
     apply_byzantine,
     attacked_services,
+    byzantine_choices,
     byzantine_subsets,
     eigenlayer_condition,
     evaluate_attack,
@@ -22,6 +23,7 @@ from restaking.model import (
     restaking_degree,
     robustness_utility,
     security_utility,
+    service_weight,
 )
 
 from conftest import random_network
@@ -277,6 +279,81 @@ class TestByzantineSubsets:
     def test_negative_cap_rejected(self):
         with pytest.raises(InputError):
             list(byzantine_subsets(three_identical_services(), -1))
+
+
+def planted_network(rng: random.Random) -> Network:
+    """Random network whose services copy a few shapes, some with threshold 0,
+    and sometimes one base service."""
+    validators = tuple(f"v{i}" for i in range(rng.randint(1, 3)))
+    stake = {v: rng.choice([1.0, 2.5, rng.uniform(0.5, 3.0)]) for v in validators}
+    shapes = [
+        (
+            rng.choice([0.0, 0.5, rng.uniform(0.2, 1.0)]) if rng.random() < 0.3
+            else rng.uniform(0.2, 1.0),
+            rng.choice([1.0, rng.uniform(0.2, 2.0)]),
+            {v: rng.choice([0.0, stake[v] / 2, rng.uniform(0.0, stake[v])])
+             for v in validators},
+        )
+        for _ in range(rng.randint(1, 4))
+    ]
+    services = tuple(f"s{j}" for j in range(rng.randint(1, 7)))
+    picked = {s: rng.choice(shapes) for s in services}
+    return Network(
+        validators=validators,
+        services=services,
+        stake=stake,
+        allocation={
+            (v, s): picked[s][2][v] for s in services for v in validators
+            if picked[s][2][v] > 0
+        },
+        threshold={s: picked[s][0] for s in services},
+        prize={s: picked[s][1] for s in services},
+        base_services=frozenset(rng.sample(services, rng.randint(0, 1))),
+    )
+
+
+def dedup_reference(net: Network, cap):
+    """Every admissible subset, keeping the first of each class multiset."""
+    shape = lambda s: (
+        net.threshold[s], net.prize[s], tuple(net.w(v, s) for v in net.validators)
+    )
+    seen = set()
+    for subset in byzantine_subsets(net, cap):
+        signature = tuple(sorted(shape(s) for s in subset))
+        if signature not in seen:
+            seen.add(signature)
+            slashed = apply_byzantine(net, subset)
+            if slashed.services:
+                yield subset, slashed
+
+
+class TestByzantineChoices:
+    def test_matches_enumerate_then_dedup(self):
+        rng = random.Random(71)
+        merged = 0
+        for _ in range(300):
+            net = planted_network(rng)
+            finite = [
+                service_weight(net, s) for s in net.services
+                if s not in net.base_services and service_weight(net, s) < math.inf
+            ]
+            # A cap just under a subset's weight admits it only through the
+            # tolerance that ties give the attacker.
+            tight = max(0, sum(rng.sample(finite, rng.randint(0, len(finite)))) - 5e-10)
+            for cap in (0, rng.uniform(0, sum(finite)), tight, math.inf):
+                got = list(byzantine_choices(net, cap))
+                assert got == list(dedup_reference(net, cap))
+                merged += len(list(byzantine_subsets(net, cap))) - len(got)
+        assert merged > 1000  # the planted classes merge many subsets
+
+    def test_one_choice_per_count(self):
+        choices = list(byzantine_choices(three_identical_services(), 100))
+        assert [subset for subset, _ in choices] == [(), ("a",), ("a", "b")]
+
+    def test_negative_or_nan_cap_rejected(self):
+        for cap in (-1, math.nan):
+            with pytest.raises(InputError):
+                list(byzantine_choices(three_identical_services(), cap))
 
 
 class TestSufficientConditions:
