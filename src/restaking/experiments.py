@@ -15,14 +15,12 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import mip as mipmod
 from .model import (
-    TOLERANCE,
     Attack,
     Network,
     apply_byzantine,
@@ -30,7 +28,7 @@ from .model import (
     byzantine_weight_cap,
     evaluate_attack,
 )
-from .symmetry import SweepTemplate, max_budget, min_stake_for
+from .symmetry import SweepTemplate, _stake_ratio, max_budget, min_stake_for
 
 __all__ = [
     "Table",
@@ -96,6 +94,8 @@ def _map_cells(fn: Callable, tasks: list[tuple]) -> list:
     workers = _thread_count()
     if workers == 1 or len(tasks) <= 1:
         return [fn(*task) for task in tasks]
+    # Imported here: multiprocessing costs every serial run about 2 MB.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*tasks)))
 
@@ -239,11 +239,9 @@ def sweep_failure_decomposition(
 
 
 def _cost_ratio(net: Network, attack: Attack, budget) -> float:
-    """(prize + budget) / cost of an attack; inf when it is free within TOLERANCE."""
+    """:func:`restaking.symmetry._stake_ratio` of an attack on a stake-1 network."""
     evaluation = evaluate_attack(net, attack)
-    if evaluation.total_cost <= TOLERANCE:
-        return math.inf
-    return (evaluation.total_prize + budget) / evaluation.total_cost
+    return _stake_ratio(evaluation.total_prize, budget, evaluation.total_cost)
 
 
 def min_stake_mip(

@@ -63,7 +63,7 @@ __all__ = [
     "write_lp_format",
 ]
 
-#: Solve precision: integrality tolerance and attack-entry cutoff.
+#: Solve precision: integrality tolerance and attack-entry cutoff (per allocation).
 PRECISION = 1e-6
 
 _BOUNDARY_TOL = 1e-9
@@ -339,11 +339,13 @@ class RobustnessReport:
 
 def _attack_from_values(net: Network, values: np.ndarray) -> Attack:
     """The attack a budget-program solution of net encodes, read off its alpha
-    block by position, so any id decodes."""
+    block by position, so any id decodes. Entries at most PRECISION of their
+    allocation are noise; a relative cutoff keeps small-stake witnesses."""
     n, m = len(net.validators), len(net.services)
     alpha = values[m + 2 * n:].reshape(n, m)
     used = {(v, s): float(alpha[i, j]) for i, v in enumerate(net.validators)
-            for j, s in enumerate(net.services) if alpha[i, j] > PRECISION}
+            for j, s in enumerate(net.services)
+            if alpha[i, j] > PRECISION * net.w(v, s)}
     return Attack(stake_used=used)
 
 

@@ -11,9 +11,10 @@ the enumeration is polynomial per class. Byzantine choices come from the
 class-count generator in :mod:`restaking.model` that every engine shares,
 one per count vector, and one generator here pairs each of them with every
 consolidated attack after it;
-:func:`is_f_beta_robust`, :func:`find_beta_costly` and :func:`max_budget`
-reduce it by any, first and min. Byzantine weight caps are absolute, as
-everywhere in the package (see :func:`restaking.model.byzantine_weight_cap`).
+:func:`is_f_beta_robust`, :func:`find_beta_costly`, :func:`max_budget` and
+:func:`min_stake_for` reduce it by any, first, min and max. Byzantine weight
+caps are absolute, as everywhere in the package (see
+:func:`restaking.model.byzantine_weight_cap`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from itertools import islice, product
 from typing import Iterable, Iterator, Mapping
 
 from .model import (
+    TOLERANCE,
     Attack,
     InputError,
     Network,
@@ -31,7 +33,6 @@ from .model import (
     _exact,
     _le,
     byzantine_weight_cap,
-    service_weight,
 )
 
 __all__ = [
@@ -434,35 +435,30 @@ class SweepTemplate:
         )
 
 
+def _stake_ratio(prize, budget, cost) -> float:
+    """Stake above which an attack costing ``cost`` at stake 1 stops paying:
+    (prize + budget) / cost, or inf when the attack is free within TOLERANCE."""
+    return math.inf if cost <= TOLERANCE else (prize + budget) / cost
+
+
 def min_stake_for(template: SweepTemplate, degree, budget, f) -> float:
     """Infimum per-validator stake at which the template is (f, budget)-robust.
 
     ``f`` is a fraction of the total non-base weight; its absolute cap,
     :func:`restaking.model.byzantine_weight_cap`, does not depend on the
-    stake. Robustness is monotone in the stake because every allocation in
-    the template scales with it, so a doubling bracket followed by bisection
-    is exact to 1e-6. Returns nan when no bracket is robust: the
-    configuration is unsatisfiable at any stake (slashing can wipe all stake
-    regardless of its size).
+    stake. Allocations and slashing scale with the stake, so a consolidated
+    attack costing g at stake 1 costs stake * g, and the infimum is the
+    largest :func:`_stake_ratio` over admissible Byzantine choices and
+    consolidated attacks at stake 1. It is exact: attackable there (ties go
+    to the attacker), robust above. Returns nan when some choice leaves an
+    attack that costs nothing: the configuration is unsatisfiable at any
+    stake (slashing can wipe all stake regardless of its size).
     """
-    unit = template.build_network(1.0, degree)
-    cap = byzantine_weight_cap(unit, f)
-    hi = max(service_weight(unit, s) for s in unit.services) * len(unit.services)
-    lo = 0.0
-
-    def robust(stake: float) -> bool:
-        return is_f_beta_robust(template.build(stake, degree), budget, weight_cap=cap)
-
-    doublings = 0
-    while not robust(hi):
-        hi *= 2
-        doublings += 1
-        if doublings > 60:
-            return math.nan
-    while hi - lo > 1e-6:
-        mid = (lo + hi) / 2
-        if robust(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if budget < 0:
+        raise InputError("budget must be non-negative")
+    cap = byzantine_weight_cap(template.build_network(1.0, degree), f)
+    stake = max(
+        _stake_ratio(prize, budget, cost)
+        for *_, cost, prize in _consolidated_attacks(template.build(1.0, degree), cap)
+    )
+    return stake if math.isfinite(stake) else math.nan

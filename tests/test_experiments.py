@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -226,3 +229,16 @@ def test_parallel_map_matches_serial(monkeypatch):
     parallel = sweep_min_stake_security(6, 6, [0.5], [1.0, 2.0, 3.0])
     assert serial.columns == parallel.columns
     assert serial.rows == parallel.rows
+
+
+def test_import_leaves_the_pool_unloaded():
+    # A serial run should not pay for importing multiprocessing.
+    import restaking
+
+    src = str(Path(restaking.__file__).resolve().parents[1])
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    code = "import sys, restaking.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -162,6 +162,23 @@ class TestMinBudget:
                 min_budget_bruteforce(net), abs=1e-6
             )
 
+    @pytest.mark.parametrize("k", [1e-4, 1e-5])
+    def test_small_stakes_keep_their_witness(self, k):
+        # Witness entries here are a few 1e-6: an absolute cutoff would drop
+        # them, the attack would vanish and the certificate would raise.
+        rng = random.Random(7)
+        for _ in range(60):
+            net = random_network(rng)
+            net = dataclasses.replace(
+                net,
+                stake={v: k * x for v, x in net.stake.items()},
+                allocation={p: k * x for p, x in net.allocation.items()},
+                prize={s: k * x for s, x in net.prize.items()},
+            )
+            assert min_budget(net) == pytest.approx(
+                min_budget_bruteforce(net), abs=1e-9 * k
+            )
+
 
 class TestByzantineMip:
     """Breaking Byzantine weights, read off max_byzantine_fraction."""

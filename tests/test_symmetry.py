@@ -6,8 +6,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restaking.bruteforce import best_attack, min_budget_bruteforce, min_cost_attack
+from restaking.experiments import min_stake_mip
 from restaking.model import (
     Attack,
     Network,
@@ -296,6 +299,32 @@ class TestMinStake:
             below, above = (template.build(result + d, degree) for d in (-1e-5, 1e-5))
             assert not is_f_beta_robust(below, 0.5, weight_cap=0)
             assert is_f_beta_robust(above, 0.5, weight_cap=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        degree=st.floats(1.0, 3.0),
+        f=st.sampled_from([0.0, 1 / 3, 1 / 2, 2 / 3]),
+        budget=st.floats(0.0, 2.0),
+        with_base=st.booleans(),
+    )
+    def test_exact_infimum_homogeneous_and_equal_to_mip(self, degree, f, budget,
+                                                        with_base):
+        def template(c):
+            base = dict(base_prize=10.0 * c, base_threshold=1 / 3) if with_base else {}
+            return SweepTemplate(3, 3, 1 / 3, prize=1.0 * c, **base)
+
+        stake = min_stake_for(template(1), degree, budget, f)
+        scaled = min_stake_for(template(3), degree, 3 * budget, f)
+        by_mip = min_stake_mip(template(1), degree, budget, f)
+        if math.isnan(stake):
+            assert math.isnan(scaled) and math.isnan(by_mip)
+            return
+        cap = byzantine_weight_cap(template(1).build_network(1.0, degree), f)
+        at = lambda s: template(1).build(s, degree)
+        assert not is_f_beta_robust(at(stake), budget, weight_cap=cap)
+        assert is_f_beta_robust(at(stake * (1 + 1e-6)), budget, weight_cap=cap)
+        assert scaled == pytest.approx(3 * stake, rel=1e-9)
+        assert by_mip == pytest.approx(stake, rel=1e-9)
 
     def test_unsatisfiable_is_nan(self):
         # At degree 3, a third of 15 services going Byzantine wipes all
