@@ -1,10 +1,20 @@
 """Exhaustive oracles for small networks, plus hardness-reduction builders.
 
-The oracle linearizes the stake-capped cost by enumerating, for each target
-set of services, which validators hit their stake cap; each assignment
-leaves a plain LP. Exponential in the network size by design: exactness is
-the whole point, and the reduction results say no general fast algorithm is
-expected. Keep |V| and |S| at about a dozen or below.
+The oracle rests on one identity: given a set T of services to attack, the
+cheapest attack covering T costs
+
+    min over capped sets C of validators of
+        stake(C) + sum over s in T of max(0, required(s) - w_C(s)),
+
+where w_C(s) is what C allocates to s. A validator whose cost hits its stake
+pays it whatever it aims, so it aims its whole allocation at T; every other
+unit of stake costs one, and any validator outside C can supply it. For a
+fixed C the best T is separable: every service whose prize exceeds its
+deficit, or the single best service when none does. So the oracle scans the
+2^|V| capped sets, needs no LP, and decides networks built from ints or
+``Fraction`` values in exact arithmetic. Exponential in the validators by
+design: exactness is the whole point, and the reduction results say no
+general fast algorithm is expected. Keep |V| at about a dozen or below.
 
 The reduction builders construct the networks that tie profitable-attack
 search to Subset Sum; they double as randomized correctness fixtures.
@@ -14,13 +24,13 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .lp import OPTIMAL, LpProblem, solve_lp
 from .model import (
     Attack,
     InputError,
     Network,
+    capped_attack,
     evaluate_attack,
     is_profitable,
 )
@@ -37,14 +47,23 @@ __all__ = [
 ]
 
 
-def min_cost_attack(
-    net: Network, target: Sequence[str]
-) -> tuple[float, Attack] | None:
-    """Cheapest attack whose attacked set covers ``target``.
+def _capped_sets(net: Network) -> Iterator[tuple[tuple[str, ...], float, dict]]:
+    """Every capped set C by size, then validator order, with its stake and
+    the stake each service still needs once C aims all its allocation."""
+    required = {s: net.threshold[s] * net.total_allocation(s) for s in net.services}
+    for size in range(len(net.validators) + 1):
+        for capped in combinations(net.validators, size):
+            deficit = {
+                s: max(0, required[s] - sum(net.w(v, s) for v in capped))
+                for s in net.services
+            }
+            yield capped, sum(net.stake[v] for v in capped), deficit
 
-    Enumerates the 2^|V| choices of stake-capped validators and solves one
-    LP per choice; exact up to LP tolerance. Returns None if no assignment
-    is feasible (unreachable for thresholds in [0, 1], kept for safety).
+
+def min_cost_attack(net: Network, target: Sequence[str]) -> tuple[float, Attack]:
+    """Cheapest attack whose attacked set covers ``target``, with its cost.
+
+    Scans the 2^|V| capped sets; exact for exact inputs.
     """
     target = tuple(dict.fromkeys(target))
     if not target:
@@ -52,93 +71,31 @@ def min_cost_attack(
     unknown = set(target) - set(net.services)
     if unknown:
         raise InputError(f"unknown services: {sorted(unknown)}")
-
-    validators = net.validators
-    n, t = len(validators), len(target)
-    var = lambda i, j: i * t + j
-    nvars = n * t
-
-    bounds = [
-        (0.0, float(net.w(v, s))) for v in validators for s in target
-    ]
-    base_rows: list[tuple[list[float], str, float]] = []
-    for j, s in enumerate(target):
-        coeffs = [0.0] * nvars
-        for i in range(n):
-            coeffs[var(i, j)] = 1.0
-        required = float(net.threshold[s]) * float(net.total_allocation(s))
-        base_rows.append((coeffs, ">=", required))
-
-    # Validators that cannot reach their cap within the target allocations
-    # never appear in a feasible capped set.
-    cappable = [
-        i
-        for i, v in enumerate(validators)
-        if sum(net.w(v, s) for s in target) >= net.stake[v]
-    ]
-
-    best: tuple[float, Attack] | None = None
-    for size in range(len(cappable) + 1):
-        for capped in combinations(cappable, size):
-            capped_set = set(capped)
-            rows = list(base_rows)
-            objective = [0.0] * nvars
-            constant = 0.0
-            for i, v in enumerate(validators):
-                if i in capped_set:
-                    constant += float(net.stake[v])
-                    coeffs = [0.0] * nvars
-                    for j in range(t):
-                        coeffs[var(i, j)] = 1.0
-                    rows.append((coeffs, ">=", float(net.stake[v])))
-                else:
-                    for j in range(t):
-                        objective[var(i, j)] = 1.0
-            solution = solve_lp(
-                LpProblem(objective=objective, sense="min", constraints=rows, bounds=bounds)
-            )
-            if solution.status != OPTIMAL:
-                continue
-            total = constant + solution.objective_value
-            if best is None or total < best[0]:
-                used = {
-                    (validators[i], target[j]): float(solution.values[var(i, j)])
-                    for i in range(n)
-                    for j in range(t)
-                    if solution.values[var(i, j)] > 1e-12
-                }
-                best = (total, Attack(stake_used=used))
-    return best
+    best = None
+    for capped, stake, deficit in _capped_sets(net):
+        cost = stake + sum(deficit[s] for s in target)
+        if best is None or cost < best[0]:
+            best = (cost, capped)
+    return best[0], capped_attack(net, target, best[1])
 
 
 def best_attack(net: Network) -> tuple[float, Attack]:
     """Highest-margin attack over all non-empty target sets.
 
-    The network is secure iff the returned margin is negative. Targets are
-    visited in descending prize order so hopeless ones are pruned early.
+    The network is secure iff the returned margin is negative. Each capped
+    set attacks every service whose prize exceeds its deficit, or the single
+    best service when none does; ties go to the smaller capped set.
     """
     if not net.services:
         raise InputError("network has no services")
-    targets = []
-    for size in range(1, len(net.services) + 1):
-        for combo in combinations(net.services, size):
-            targets.append((sum(net.prize[s] for s in combo), combo))
-    targets.sort(key=lambda item: (-item[0], item[1]))
-
-    best_margin = -math.inf
-    best_attack_found: Attack | None = None
-    for prize, combo in targets:
-        if prize <= best_margin:  # cost >= 0, so this target cannot win
-            break
-        result = min_cost_attack(net, combo)
-        if result is None:
-            continue
-        cost, attack = result
-        margin = prize - cost
+    best_margin, best = -math.inf, None
+    for capped, stake, deficit in _capped_sets(net):
+        gain = {s: net.prize[s] - deficit[s] for s in net.services}
+        attacked = [s for s in net.services if gain[s] > 0] or [max(net.services, key=gain.get)]
+        margin = sum(gain[s] for s in attacked) - stake
         if margin > best_margin:
-            best_margin = margin
-            best_attack_found = attack
-    return best_margin, best_attack_found
+            best_margin, best = margin, (attacked, capped)
+    return best_margin, capped_attack(net, *best)
 
 
 def min_budget_bruteforce(net: Network) -> float:

@@ -1,12 +1,19 @@
 """Mixed-integer robustness analysis on one program.
 
-The budget program maximizes attack profit (prize minus stake-capped cost)
-over allocation-divisible attacks; its optimum y decides robustness: the
-network is insecure iff y >= 0 and otherwise robust against any adversary
-budget below -y. It linearizes the min expressions in the attack cost and
-the threshold requirement with one big-M per row, each the smallest the row
-admits: a validator's stake, its total allocation, a service's required
-stake.
+The budget program maximizes attack profit (prize minus stake-capped cost);
+its optimum y decides robustness: the network is insecure iff y >= 0 and
+otherwise robust against any adversary budget below -y. It searches the
+cheapest attacks directly: an attack is a set T of attacked services and a
+set C of validators whose cost reaches their stake, which then aim their
+whole allocations at T, and it costs stake(C) plus, per service in T, the
+required stake C leaves uncovered (see :mod:`restaking.bruteforce`). With
+attacked[s] and capped[v] binaries and one deficit column per service, that
+is m + 1 rows and no big-M. Every coefficient is a stake, an allocation, a
+required stake or a prize, so the program is homogeneous in the data. The
+objective is divided by the largest stake or prize and each deficit row by
+its own largest coefficient: the LP's absolute tolerances then act on
+numbers of order one at any scale, and the optimum is reported back in the
+network's units.
 
 Every Byzantine question reduces one generator,
 :func:`restaking.model.byzantine_choices`, which yields one admissible
@@ -17,9 +24,10 @@ its slashing leaves, and asks the budget program about that network:
 ``experiments.min_stake_mip`` the largest minimum stake. The first two only
 ask whether some attack clears the budget, so their branch and bound runs in
 decision mode and stops at the first attack that does; the third needs the
-optimum. Every attack returned is read off the program's columns by
-position, re-scored by ``evaluate_attack`` on the network it was solved on,
-and a score that contradicts the solver raises :class:`MipStatusError`. The
+optimum. Every attack returned is read off the program's binaries by
+position (:func:`restaking.model.capped_attack` of its T and C), re-scored
+by ``evaluate_attack`` on the network it was solved on, and a score that
+contradicts the solver raises :class:`MipStatusError`. The
 embedded branch-and-bound solver keeps runs deterministic; instances stay
 desk-scale by construction (a few dozen binaries).
 """
@@ -41,6 +49,7 @@ from .model import (
     InputError,
     Network,
     byzantine_choices,
+    capped_attack,
     evaluate_attack,
     service_weight,
     total_byzantine_weight,
@@ -63,7 +72,7 @@ __all__ = [
     "write_lp_format",
 ]
 
-#: Solve precision: integrality tolerance and attack-entry cutoff (per allocation).
+#: Solve precision: integrality tolerance of the binaries.
 PRECISION = 1e-6
 
 _BOUNDARY_TOL = 1e-9
@@ -79,11 +88,16 @@ BELOW_TARGET = "below target"
 
 @dataclass
 class MipProblem:
-    """An LP plus a set of variable indices restricted to {0, 1}."""
+    """An LP plus a set of variable indices restricted to {0, 1}.
+
+    The LP's objective is the program's in units of ``scale``: solve_mip
+    multiplies it back and divides its target by it.
+    """
 
     lp: LpProblem
     integral: frozenset[int]
     variable_names: dict[int, str]
+    scale: float = 1.0
 
 
 @dataclass
@@ -107,75 +121,56 @@ class MipStatusError(RuntimeError):
 
 
 def build_budget_mip(net: Network) -> MipProblem:
-    """Maximum attack profit as a MIP.
+    """Maximum attack profit as a MIP over attacked sets and capped validators.
 
-    Variables: attacked[s] and costflag[v] binaries, cost[v] in [0, stake],
-    attack[v,s] in [0, allocation]. At least one service must be attacked;
-    an attacked service receives its required stake. The three cost rows
-    pin cost[v] = min(stake, aimed stake): cost <= aimed, cost >=
-    stake * (1 - flag) and cost >= aimed - allocation * (1 - flag), where
-    the validator's total allocation bounds its aimed stake.
+    Variables: attacked[s] and capped[v] binaries, deficit[s] >= 0. Maximize
+    sum prize[s] * attacked[s] - sum stake[v] * capped[v] - sum deficit[s]
+    subject to at least one attacked service and, per service, deficit[s] >=
+    required[s] * attacked[s] - sum allocation[v, s] * capped[v]: m + n
+    binaries, 2m + n columns, m + 1 rows. The objective is divided by the
+    largest stake or prize, the problem's scale, and each deficit row by its
+    largest coefficient, in which its deficit column then counts.
     """
     n, m = len(net.validators), len(net.services)
+    scale = max(map(float, (*(net.stake[v] for v in net.validators),
+                            *(net.prize[s] for s in net.services))), default=0.0) or 1.0
 
-    # Layout: b (m) | z (n) | c (n) | alpha (n*m), alpha row-major by validator
-    off_b, off_z, off_c, off_a = 0, m, m + n, m + 2 * n
-    nvars = m + 2 * n + n * m
-    a_idx = lambda i, j: off_a + i * m + j
-
+    # Layout: b (m) | z (n) | d (m)
+    off_b, off_z, off_d = 0, m, m + n
+    nvars = 2 * m + n
     names: dict[int, str] = {}
-    bounds: list[tuple[float, float | None]] = [(0.0, None)] * nvars
     for j, s in enumerate(net.services):
         names[off_b + j] = f"attacked[{s}]"
-        bounds[off_b + j] = (0.0, 1.0)
+        names[off_d + j] = f"deficit[{s}]"
     for i, v in enumerate(net.validators):
-        names[off_z + i] = f"costflag[{v}]"
-        bounds[off_z + i] = (0.0, 1.0)
-        names[off_c + i] = f"cost[{v}]"
-        bounds[off_c + i] = (0.0, float(net.stake[v]))
-    for i, v in enumerate(net.validators):
-        for j, s in enumerate(net.services):
-            names[a_idx(i, j)] = f"attack[{v},{s}]"
-            bounds[a_idx(i, j)] = (0.0, float(net.w(v, s)))
-
-    rows: list[tuple[list[float], str, float]] = []
-
-    def row(entries: dict[int, float], rel: str, rhs: float) -> None:
-        coeffs = [0.0] * nvars
-        for k, val in entries.items():
-            coeffs[k] = val
-        rows.append((coeffs, rel, rhs))
+        names[off_z + i] = f"capped[{v}]"
+    bounds: list[tuple[float, float | None]] = [(0.0, 1.0)] * (m + n) + [(0.0, None)] * m
 
     # At least one service is attacked.
-    row({off_b + j: 1.0 for j in range(m)}, ">=", 1.0)
-
-    for i, v in enumerate(net.validators):
-        aimed = {a_idx(i, j): -1.0 for j in range(m)}
-        stake = float(net.stake[v])
-        allocated = float(net.validator_allocation(v))
-        # cost <= aimed stake
-        row({off_c + i: 1.0, **aimed}, "<=", 0.0)
-        # cost >= stake * (1 - flag)
-        row({off_c + i: 1.0, off_z + i: stake}, ">=", stake)
-        # cost >= aimed - allocated * (1 - flag)
-        row({off_c + i: 1.0, off_z + i: -allocated, **aimed}, ">=", -allocated)
-
+    rows: list[tuple[list[float], str, float]] = [([1.0] * m + [0.0] * (n + m), ">=", 1.0)]
+    # Each deficit row is divided by its largest coefficient, which becomes
+    # the unit its deficit column counts in.
+    units = []
     for j, s in enumerate(net.services):
         required = float(net.threshold[s] * net.total_allocation(s))
-        # aimed at s >= required * attacked[s]
-        row({**{a_idx(i, j): 1.0 for i in range(n)}, off_b + j: -required}, ">=", 0.0)
+        column = [float(net.w(v, s)) for v in net.validators]
+        unit = max([required, *column]) or scale
+        coeffs = [0.0] * nvars
+        coeffs[off_b + j] = -required / unit
+        for i in range(n):
+            coeffs[off_z + i] = column[i] / unit
+        coeffs[off_d + j] = 1.0
+        rows.append((coeffs, ">=", 0.0))
+        units.append(unit)
 
-    objective = [0.0] * nvars
-    for j, s in enumerate(net.services):
-        objective[off_b + j] = float(net.prize[s])
-    for i in range(n):
-        objective[off_c + i] = -1.0
-
-    lp = LpProblem(objective=objective, sense="max", constraints=rows, bounds=bounds)
-    integral = frozenset(range(off_b, off_b + m)) | frozenset(
-        range(off_z, off_z + n)
+    objective = (
+        [float(net.prize[s]) / scale for s in net.services]
+        + [-float(net.stake[v]) / scale for v in net.validators]
+        + [-unit / scale for unit in units]
     )
-    return MipProblem(lp=lp, integral=integral, variable_names=names)
+    lp = LpProblem(objective=objective, sense="max", constraints=rows, bounds=bounds)
+    return MipProblem(lp=lp, integral=frozenset(range(m + n)), variable_names=names,
+                      scale=scale)
 
 
 def solve_mip(problem: MipProblem, node_limit: int = 200_000,
@@ -194,9 +189,13 @@ def solve_mip(problem: MipProblem, node_limit: int = 200_000,
     to it is kept), and the first integral node is returned; its polished
     solution reaches the target but need not be optimal. When no node is
     left the status is BELOW_TARGET. Exceeding the node budget raises
-    :class:`MipNodeLimitError` with the incumbent attached.
+    :class:`MipNodeLimitError` with the incumbent attached. The target and
+    the objective value returned are in the problem's own units, ``scale``
+    times the LP's.
     """
     direction = -1.0 if problem.lp.sense == "max" else 1.0  # heap pops the best bound
+    if target is not None:
+        target = target / problem.scale
     integral = np.array(sorted(problem.integral), dtype=int)
 
     root = solve_lp(problem.lp)
@@ -254,7 +253,7 @@ def _polish(problem: MipProblem, incumbent: LpSolution) -> MipSolution:
     return MipSolution(
         status=OPTIMAL,
         values=clean.values,
-        objective_value=clean.objective_value,
+        objective_value=clean.objective_value * problem.scale,
     )
 
 
@@ -277,8 +276,7 @@ def max_attack_profit(net: Network) -> tuple[float, Attack]:
     problem = build_budget_mip(net)
     solution = solve_mip(problem)
     attack, evaluation = _witness(net, solution)
-    scale = max(map(float, (*net.stake.values(), *net.prize.values())), default=0.0)
-    if abs(float(evaluation.margin) - solution.objective_value) > _CERTIFICATE_TOL * scale:
+    if abs(float(evaluation.margin) - solution.objective_value) > _CERTIFICATE_TOL * problem.scale:
         raise MipStatusError(
             f"budget MIP reports profit {solution.objective_value!r} but its "
             f"attack scores {float(evaluation.margin)!r}"
@@ -338,15 +336,13 @@ class RobustnessReport:
 
 
 def _attack_from_values(net: Network, values: np.ndarray) -> Attack:
-    """The attack a budget-program solution of net encodes, read off its alpha
-    block by position, so any id decodes. Entries at most PRECISION of their
-    allocation are noise; a relative cutoff keeps small-stake witnesses."""
-    n, m = len(net.validators), len(net.services)
-    alpha = values[m + 2 * n:].reshape(n, m)
-    used = {(v, s): float(alpha[i, j]) for i, v in enumerate(net.validators)
-            for j, s in enumerate(net.services)
-            if alpha[i, j] > PRECISION * net.w(v, s)}
-    return Attack(stake_used=used)
+    """The attack a budget-program solution of net encodes: the cheapest one
+    on its attacked services with its capped validators paying their stake,
+    both read off the binaries by position, so any id decodes."""
+    m = len(net.services)
+    attacked = [s for j, s in enumerate(net.services) if values[j] > 0.5]
+    capped = [v for i, v in enumerate(net.validators) if values[m + i] > 0.5]
+    return capped_attack(net, attacked, capped)
 
 
 def mip_check(net: Network, budget, weight_cap) -> RobustnessReport:
@@ -412,6 +408,8 @@ def write_lp_format(problem: MipProblem) -> str:
         _sanitize(problem.variable_names.get(i, f"x{i}")) for i in range(n)
     ]
     out = StringIO()
+    # Coefficients are the program's divided by the scale; so is the objective.
+    out.write(f"\\ scale: {problem.scale:.17g}\n")
 
     def term_string(coeffs: Iterable[float]) -> str:
         parts = []

@@ -36,6 +36,7 @@ __all__ = [
     "restaking_degree",
     "attacked_services",
     "evaluate_attack",
+    "capped_attack",
     "prize_shares",
     "security_utility",
     "robustness_utility",
@@ -262,6 +263,42 @@ def evaluate_attack(net: Network, a: Attack) -> AttackEvaluation:
         total_prize=total_prize,
         margin=total_prize - total_cost,
     )
+
+
+def capped_attack(net: Network, attacked: Iterable[str], capped: Iterable[str]) -> Attack:
+    """The cheapest attack on ``attacked`` in which the ``capped`` validators
+    pay their whole stake.
+
+    A validator whose cost hits its stake pays it whatever it aims, so capped
+    validators aim their full allocations at every attacked service; the
+    stake each service still needs is then taken from the other validators in
+    validator order, at a cost of one per unit. Filled in floats, the stake
+    aimed at a service reaches its required stake as :func:`evaluate_attack`
+    sums it, without its tolerance, so the attack holds at any scale.
+    """
+    capped = frozenset(capped)
+    used = {}
+    aimed = lambda s: sum(used.get((v, s), 0) for v in net.validators)
+    for s in attacked:
+        required = net.threshold[s] * net.total_allocation(s)
+        for v in net.validators:
+            if v in capped and net.w(v, s) > 0:
+                used[v, s] = net.w(v, s)
+        # Each fill is re-summed as evaluate_attack sums it, and raised until
+        # the sum is not short; full allocations sum to the total, which no
+        # threshold exceeds, so the loop ends.
+        for v in net.validators:
+            short = required - aimed(s)
+            if short <= 0:
+                break
+            while v not in capped and short > 0 and used.get((v, s), 0) < net.w(v, s):
+                have = used.get((v, s), 0)
+                raised = have + short
+                if raised == have:  # short is below a float ulp of have
+                    raised = math.nextafter(have, math.inf)
+                used[v, s] = min(net.w(v, s), raised)
+                short = required - aimed(s)
+    return Attack(stake_used=used)
 
 
 def prize_shares(net: Network, evaluation: AttackEvaluation) -> PrizeShares:

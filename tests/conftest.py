@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -68,4 +70,17 @@ def random_network(rng: random.Random, max_validators: int = 4,
         allocation=allocation,
         threshold=threshold,
         prize=prize,
+    )
+
+
+def as_fractions(net: Network) -> Network:
+    """The same network in exact arithmetic: every float becomes the Fraction
+    it represents."""
+    exact = lambda values: {key: Fraction(x) for key, x in values.items()}
+    return dataclasses.replace(
+        net,
+        stake=exact(net.stake),
+        allocation=exact(net.allocation),
+        threshold=exact(net.threshold),
+        prize=exact(net.prize),
     )

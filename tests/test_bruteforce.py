@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -23,7 +24,7 @@ from restaking.model import (
     generalized_eigenlayer_condition,
 )
 
-from conftest import random_network
+from conftest import as_fractions, random_network
 
 
 class TestMinCostAttack:
@@ -89,6 +90,23 @@ class TestBestAttack:
             margin, _ = best_attack(net)
             assert margin < 0
         assert found >= 5
+
+
+class TestExactArithmetic:
+    def test_fraction_networks_are_decided_exactly(self):
+        # No LP: on Fraction inputs the margin and the cost are exact, and
+        # evaluate_attack scores the witnesses at exactly those values.
+        rng = random.Random(75)
+        for _ in range(40):
+            net = as_fractions(random_network(rng))
+            margin, attack = best_attack(net)
+            assert isinstance(margin, Fraction)
+            assert evaluate_attack(net, attack).margin == margin
+            target = tuple(s for s in net.services if rng.random() < 0.6) or net.services[:1]
+            cost, attack = min_cost_attack(net, target)
+            evaluation = evaluate_attack(net, attack)
+            assert set(target) <= evaluation.attacked_services
+            assert evaluation.total_cost == cost
 
 
 class TestMinBudgetBruteforce:

@@ -151,7 +151,10 @@ class TestCheck:
         dump = tmp_path / "program.lp"
         assert main(["check", path, "--dump-mip", str(dump)]) == 0
         text = dump.read_text(encoding="utf-8")
-        assert text.startswith("Maximize") and "Binaries" in text
+        # The program is divided by the largest stake or prize, 20 here.
+        scale, sense = text.splitlines()[:2]
+        assert scale == "\\ scale: 20" and sense == "Maximize"
+        assert "capped_v1_" in text and "deficit_s_" in text and "Binaries" in text
 
     def test_oversized_asymmetric_network_is_a_capability_error(self, tmp_path, capsys):
         validators = [{"id": f"v{i}", "stake": 10 + i} for i in range(25)]

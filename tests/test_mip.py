@@ -32,7 +32,7 @@ from restaking.model import (
 )
 from restaking.symmetry import SweepTemplate, max_budget
 
-from conftest import random_network
+from conftest import as_fractions, random_network
 
 
 def three_by_three(stake=9, per_service=6, base=False):
@@ -50,62 +50,15 @@ def three_by_three(stake=9, per_service=6, base=False):
     )
 
 
-def big_m_rows(net: Network) -> dict[tuple[str, str], tuple[float, float]]:
-    """Big-M coefficient and right-hand side of each indicator row, read off
-    the budget MIP: ("stake", v) is cost >= stake * (1 - flag), ("aimed", v)
-    is cost >= aimed - allocation * (1 - flag), both keyed by the costflag
-    coefficient, and ("required", s) is aimed >= required * attacked, keyed
-    by the attacked coefficient."""
-    problem = build_budget_mip(net)
-    col = {name: k for k, name in problem.variable_names.items()}
-    found = {}
-    for coeffs, rel, rhs in problem.lp.constraints:
-        for v in net.validators:
-            if rel == ">=" and coeffs[col[f"cost[{v}]"]] == 1:
-                aims = any(coeffs[col[f"attack[{v},{s}]"]] for s in net.services)
-                found["aimed" if aims else "stake", v] = (coeffs[col[f"costflag[{v}]"]], rhs)
-        for s in net.services:
-            if coeffs[col[f"attack[{net.validators[0]},{s}]"]] == 1:
-                found["required", s] = (coeffs[col[f"attacked[{s}]"]], rhs)
-    return found
-
-
-class TestBigM:
-    def test_atomic_pair(self, fig_atomic):
-        rows = big_m_rows(fig_atomic)
-        for v in ("v1", "v2"):
-            assert rows["stake", v] == (20, 20)
-            assert rows["aimed", v] == (-20, -20)
-        assert rows["required", "s"] == (-20, 0)  # 0.5 * 40
-
-    def test_stretched_validator(self):
-        net = Network(
-            validators=("v",),
-            services=("s1", "s2", "s3"),
-            stake={"v": 2},
-            allocation={("v", f"s{i}"): 1 for i in (1, 2, 3)},
-            threshold={f"s{i}": 0.5 for i in (1, 2, 3)},
-            prize={f"s{i}": 1 for i in (1, 2, 3)},
-        )
-        rows = big_m_rows(net)
-        assert rows["stake", "v"] == (2, 2)
-        assert rows["aimed", "v"] == (-3, -3)  # total allocation exceeds the stake
-        for s in net.services:
-            assert rows["required", s] == (-0.5, 0)  # 0.5 * 1 per service
-
-    def test_empty_allocations(self):
-        net = Network(
-            validators=("v",),
-            services=("s",),
-            stake={"v": 1},
-            allocation={},
-            threshold={"s": 0.5},
-            prize={"s": 1},
-        )
-        rows = big_m_rows(net)
-        assert rows["stake", "v"] == (1, 1)
-        assert rows["aimed", "v"] == (0, 0)
-        assert rows["required", "s"] == (0, 0)
+def rescaled(net: Network, validator_factor, prize_factor) -> Network:
+    """net with each validator's stake and allocations, and each service's
+    prize, multiplied by their factor."""
+    return dataclasses.replace(
+        net,
+        stake={v: validator_factor(v) * x for v, x in net.stake.items()},
+        allocation={(v, s): validator_factor(v) * x for (v, s), x in net.allocation.items()},
+        prize={s: prize_factor(s) * x for s, x in net.prize.items()},
+    )
 
 
 class TestBudgetMip:
@@ -178,6 +131,33 @@ class TestMinBudget:
             assert min_budget(net) == pytest.approx(
                 min_budget_bruteforce(net), abs=1e-9 * k
             )
+
+    def test_rescaling_scales_the_minimum_budget(self):
+        # Stakes, allocations and prizes times k: the minimum budget is k
+        # times the one at k = 1, and no verdict flips.
+        rng = random.Random(7)
+        for _ in range(60):
+            net = random_network(rng)
+            unit = min_budget(net)
+            scale = max(*net.stake.values(), *net.prize.values())
+            for k in (1e-6, 1e7, 1e8, 1e9):
+                value = min_budget(rescaled(net, lambda v: k, lambda s: k))
+                assert (value > 0) == (unit > 0)
+                assert value == pytest.approx(k * unit, rel=0, abs=1e-9 * k * scale)
+
+    def test_mixed_magnitudes_match_the_exact_oracle(self):
+        # Each validator's stake and allocations, and each prize, carry their
+        # own factor in 1e-6..1e9; the oracle decides the same network in
+        # exact arithmetic.
+        rng = random.Random(5)
+        for _ in range(160):
+            net = random_network(rng)
+            validator = {v: 10 ** rng.uniform(-6, 9) for v in net.validators}
+            net = rescaled(net, validator.get,
+                           {s: 10 ** rng.uniform(-6, 9) for s in net.services}.get)
+            scale = max(*net.stake.values(), *net.prize.values())
+            exact = min_budget_bruteforce(as_fractions(net))
+            assert min_budget(net) == pytest.approx(float(exact), rel=0, abs=1e-9 * scale)
 
 
 class TestByzantineMip:
@@ -383,7 +363,7 @@ class TestSolveMip:
         checks: list[int] = []
         monkeypatch.setattr(mip, "solve_lp", checked)
         rng = random.Random(48)
-        for size in (3, 3, 4, 5, 6, 4, 4):
+        for size in (3, 3, 4, 5, 6, 4, 4) + (4,) * 8:
             net = random_network(rng, max_validators=size, max_services=size)
             solve_mip(build_budget_mip(net))
             if size <= 4:
@@ -431,6 +411,6 @@ class TestCertificate:
 
 def test_lp_format_dump(fig_atomic):
     text = write_lp_format(build_budget_mip(fig_atomic))
-    assert text.startswith("Maximize")
+    assert text.splitlines()[1] == "Maximize"
     assert "attacked_s_" in text
     assert "Binaries" in text and text.rstrip().endswith("End")
