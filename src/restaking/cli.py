@@ -6,7 +6,8 @@ Three subcommands:
                 printing a witness attack when the verdict is negative.
 * ``sweep``   — run the configured parameter sweeps and write CSV files.
 * ``incentives`` — compute the reward-scheme equilibrium for a network file
-                carrying reward pools, optionally verifying best responses.
+                carrying reward pools; ``--verify`` prints the largest exact
+                best-response gain and that validator's best response.
 
 Exit codes: 0 the network is robust, 1 it is not, 2 input, capability or
 solver error (including engine disagreement, which is itself a
@@ -21,13 +22,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import experiments as exp
 from . import mip as mipmod
 from .bruteforce import best_attack
 from .files import load_json, load_network, load_reward_pools
-from .incentives import equilibrium_allocations, verify_best_response
+from .incentives import best_response, equilibrium_allocations
 from .model import (
     Attack,
     InputError,
@@ -416,15 +418,7 @@ def cmd_sweep(args) -> int:
 def cmd_incentives(args) -> int:
     net, pools = load_reward_pools(args.network)
     allocations = equilibrium_allocations(net.stake, pools)
-    equilibrium = Network(
-        validators=net.validators,
-        services=net.services,
-        stake=net.stake,
-        allocation=allocations,
-        threshold=net.threshold,
-        prize=net.prize,
-        base_services=net.base_services,
-    )
+    equilibrium = replace(net, allocation=allocations)
     print("equilibrium allocations:")
     header = "          " + "  ".join(f"{s:>12}" for s in net.services)
     print(header)
@@ -435,13 +429,15 @@ def cmd_incentives(args) -> int:
     for v in net.validators:
         print(f"  {v}: {_fmt(restaking_degree(equilibrium, v))}")
     if args.verify:
-        worst = max(
-            verify_best_response(equilibrium, pools, v, args.verify)
-            for v in net.validators
-        )
-        print(f"max best-response gain: {worst:.9f}")
-        if worst > 1e-6:
-            print("warning: profile is not an equilibrium at this resolution")
+        responses = {v: best_response(equilibrium, pools, v) for v in net.validators}
+        v = max(responses, key=lambda u: responses[u][0])
+        gain, deviation, attained = responses[v]
+        note = "" if attained else " (supremum, not attained)"
+        print(f"max best-response gain: {gain:.9f}{note}")
+        cells = ", ".join(f"{s}={_fmt(x)}" for s, x in deviation.items())
+        print(f"  validator {v}, best response: {cells}")
+        if gain > 1e-6:
+            print("warning: profile is not an equilibrium")
             return 1
     return 0
 
@@ -477,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     inc = sub.add_parser("incentives", help="reward-scheme equilibrium for a network file")
     inc.add_argument("network", help="network JSON with 'rewards' and 'target_degree'")
-    inc.add_argument("--verify", type=int, metavar="RESOLUTION", default=0,
-                     help="verify best responses on a deviation grid")
+    inc.add_argument("--verify", action="store_true",
+                     help="compute every validator's exact best response")
     inc.set_defaults(func=cmd_incentives)
     return parser
 

@@ -13,7 +13,9 @@ The on-disk format is JSON (UTF-8):
 Omitted allocation pairs default to 0. Validation errors name the offending
 field and id. JSON integers are kept as Python ints, so integer-valued
 networks evaluate exactly. The non-standard constants NaN and Infinity are
-rejected.
+rejected, and so are integers, total stakes, total prizes and total rewards
+beyond float range. Lists must hold objects, ids must be strings and "base"
+must be a JSON boolean.
 """
 
 from __future__ import annotations
@@ -35,10 +37,32 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _entries(data: dict, key: str, required: bool = True):
+    """(where, entry) for each object in the list data[key]."""
+    entries = _require(data, key, "network") if required else data.get(key, [])
+    if not isinstance(entries, list):
+        raise InputError(f"{key}: expected a list of objects")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise InputError(f"{key}[{i}]: expected an object")
+        yield f"{key}[{i}]", entry
+
+
+def _string(obj: dict, key: str, where: str) -> str:
+    value = _require(obj, key, where)
+    if not isinstance(value, str):
+        raise InputError(f"{where}.{key}: expected a string")
+    return value
+
+
 def _number(value: Any, where: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise InputError(f"{where}: integer too large for a float") from None
+    if not finite:
         raise InputError(f"{where}: must be finite, got {value!r}")
     return value
 
@@ -48,13 +72,15 @@ def _reject_constant(name: str):
 
 
 def load_json(path: str | Path) -> Any:
-    """Parse a UTF-8 JSON file, reporting syntax errors as InputError."""
+    """Parse a UTF-8 JSON file, reporting every failure to read it as InputError."""
     try:
         return json.loads(
             Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant
         )
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or a huge literal
+        raise InputError(f"{path}: {exc}")
 
 
 def load_network_data(data: dict) -> Network:
@@ -64,11 +90,8 @@ def load_network_data(data: dict) -> Network:
 
     validators: list[str] = []
     stake: dict[str, float] = {}
-    for i, entry in enumerate(_require(data, "validators", "network")):
-        where = f"validators[{i}]"
-        vid = _require(entry, "id", where)
-        if not isinstance(vid, str):
-            raise InputError(f"{where}.id: expected a string")
+    for where, entry in _entries(data, "validators"):
+        vid = _string(entry, "id", where)
         if vid in stake:
             raise InputError(f"{where}.id: duplicate validator id {vid!r}")
         value = _number(_require(entry, "stake", where), f"{where}.stake")
@@ -76,16 +99,14 @@ def load_network_data(data: dict) -> Network:
             raise InputError(f"{where}.stake: must be positive (id {vid!r})")
         validators.append(vid)
         stake[vid] = value
+    _number(sum(stake.values()), "validators: total stake")
 
     services: list[str] = []
     threshold: dict[str, float] = {}
     prize: dict[str, float] = {}
     base: set[str] = set()
-    for i, entry in enumerate(_require(data, "services", "network")):
-        where = f"services[{i}]"
-        sid = _require(entry, "id", where)
-        if not isinstance(sid, str):
-            raise InputError(f"{where}.id: expected a string")
+    for where, entry in _entries(data, "services"):
+        sid = _string(entry, "id", where)
         if sid in threshold:
             raise InputError(f"{where}.id: duplicate service id {sid!r}")
         theta = _number(_require(entry, "threshold", where), f"{where}.threshold")
@@ -97,14 +118,17 @@ def load_network_data(data: dict) -> Network:
         services.append(sid)
         threshold[sid] = theta
         prize[sid] = pi
-        if entry.get("base", False):
+        is_base = entry.get("base", False)
+        if not isinstance(is_base, bool):
+            raise InputError(f"{where}.base: expected true or false (id {sid!r})")
+        if is_base:
             base.add(sid)
+    _number(sum(prize.values()), "services: total prize")
 
     allocation: dict[tuple[str, str], float] = {}
-    for i, entry in enumerate(data.get("allocations", [])):
-        where = f"allocations[{i}]"
-        vid = _require(entry, "validator", where)
-        sid = _require(entry, "service", where)
+    for where, entry in _entries(data, "allocations", required=False):
+        vid = _string(entry, "validator", where)
+        sid = _string(entry, "service", where)
         if vid not in stake:
             raise InputError(f"{where}.validator: unknown validator id {vid!r}")
         if sid not in threshold:
@@ -152,6 +176,7 @@ def load_reward_pools(path: str | Path) -> tuple[Network, RewardPools]:
         if value <= 0:
             raise InputError(f"rewards.{sid}: must be positive")
         pools[sid] = value
+    _number(sum(pools.values()), "rewards: total")
     missing = set(net.services) - set(pools)
     if missing:
         raise InputError(f"rewards: missing entries for services {sorted(missing)}")

@@ -5,15 +5,15 @@ only to validators whose restaking degree stays at or below the target.
 Under the stated condition on pool sizes (no single service's share of the
 total rewards exceeds the full-stake allocation once scaled by the target
 degree), allocating target_degree * pool_share * stake to every service is
-a Nash equilibrium whose degree is exactly the target.
+a Nash equilibrium whose degree is exactly the target. best_response
+certifies it: each validator's exact best response, in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Mapping
-
-import numpy as np
 
 from .model import InputError, Network, restaking_degree
 
@@ -22,7 +22,7 @@ __all__ = [
     "validator_reward",
     "formation_utility",
     "equilibrium_allocations",
-    "verify_best_response",
+    "best_response",
 ]
 
 _GATE_TOL = 1e-9
@@ -36,11 +36,11 @@ class RewardPools:
     target_degree: float
 
     def __post_init__(self):
-        if self.target_degree <= 0:
-            raise InputError("target_degree must be positive")
+        if not 0 < self.target_degree < math.inf:
+            raise InputError("target_degree must be positive and finite")
         for s, r in self.reward.items():
-            if r <= 0:
-                raise InputError(f"reward must be positive (service {s!r})")
+            if not 0 < r < math.inf:
+                raise InputError(f"reward must be positive and finite (service {s!r})")
 
     def total(self):
         return sum(self.reward.values())
@@ -110,89 +110,66 @@ def equilibrium_allocations(
     }
 
 
-def _deviation_utility(
-    rewards: np.ndarray,
-    others: np.ndarray,
-    candidate: np.ndarray,
-    stake: float,
-    target: float,
-) -> float:
-    degree = candidate.sum() / stake
-    if degree > target + _GATE_TOL * max(1.0, target):
-        return 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        denom = candidate + others
-        shares = np.where(denom > 0, candidate / np.where(denom > 0, denom, 1.0), 0.0)
-    return float(shares @ rewards)
+def best_response(
+    net: Network, pools: RewardPools, v: str
+) -> tuple[float, dict[str, float], bool]:
+    """Exact best response of one validator, everyone else held fixed.
 
-
-def verify_best_response(
-    net: Network,
-    pools: RewardPools,
-    v: str,
-    grid_resolution: int = 50,
-    seed: int = 0,
-) -> float:
-    """Best utility gain found for one validator over deviations.
-
-    Holding everyone else fixed, searches a deterministic grid (pairwise
-    splits of the degree budget, single-service all-ins, scaled-down copies
-    of the current profile) plus Dirichlet-sampled points of the
-    degree-budget simplex, all clipped at the stake cap. The utility is
-    concave inside the degree gate, so this resolution comfortably certifies
-    equilibria: at the equilibrium profile the gain stays within 1e-6.
+    Returns the gain over formation_utility(net, pools, v), the maximizing
+    allocation to each pooled service, and whether that maximum is attained.
+    With o_s the others' allocation to service s, the validator maximizes
+    sum r_s * x_s / (x_s + o_s) subject to sum x_s <= target_degree * stake
+    and 0 <= x_s <= stake. That program is concave and separable, so the
+    optimum is water-filling (Kelly 1997; Johari and Tsitsiklis 2004): at
+    water level mu (1 / sqrt of the budget's multiplier),
+    x_s = clip(mu * c_s - o_s, 0, stake) with c_s = sqrt(r_s * o_s). Between
+    consecutive breakpoints o_s / c_s and (stake + o_s) / c_s the sum is
+    A * mu + K, so mu = (budget - K) / A. A service nobody else serves pays
+    r_s for any positive allocation: the supremum takes it as x_s -> 0+,
+    which no allocation attains.
     """
     if v not in net.stake:
         raise InputError(f"unknown validator {v!r}")
-    if grid_resolution < 1:
-        raise InputError("grid_resolution must be at least 1")
-    services = [s for s in net.services if s in pools.reward]
-    rewards = np.array([pools.reward[s] for s in services], dtype=float)
-    others = np.array(
-        [
-            sum(net.w(u, s) for u in net.validators if u != v)
-            for s in services
-        ],
-        dtype=float,
+    sigma = net.stake[v]
+    budget = pools.target_degree * sigma
+    reward = pools.reward
+    others = {
+        s: sum(net.w(u, s) for u in net.validators if u != v)
+        for s in net.services
+        if s in reward
+    }
+    served = [s for s, o in others.items() if o > 0]
+    x = dict.fromkeys(others, 0.0)
+    if sigma > 0 and len(served) * sigma <= budget:
+        x.update(dict.fromkeys(served, sigma))
+    elif sigma > 0 and served:
+        c = {s: math.sqrt(reward[s]) * math.sqrt(others[s]) for s in served}
+        zero = {s: others[s] / c[s] for s in served}
+        full = {s: (sigma + others[s]) / c[s] for s in served}
+
+        def fill(mu):
+            return {s: min(max(mu * c[s] - others[s], 0.0), sigma) for s in served}
+
+        points = sorted({*zero.values(), *full.values()})
+        k = next(
+            (i for i in range(1, len(points)) if sum(fill(points[i]).values()) >= budget),
+            len(points) - 1,
+        )
+        lo, hi = points[k - 1], points[k]
+        inner = [s for s in served if zero[s] < (lo + hi) / 2 < full[s]]
+        area = sum(c[s] for s in inner)
+        capped = sum(full[s] <= lo for s in served)
+        level = sigma * capped - sum(others[s] for s in inner)
+        # area > 0 in exact arithmetic; it rounds to 0 only when the stake is
+        # below the others' rounding error, and lo is feasible then.
+        x.update(fill(min(max((budget - level) / area, lo), hi) if area else lo))
+    deviated = replace(
+        net,
+        allocation={
+            **{key: w for key, w in net.allocation.items() if key[0] != v},
+            **{(v, s): xs for s, xs in x.items()},
+        },
     )
-    stake = float(net.stake[v])
-    target = float(pools.target_degree)
-    budget = min(target * stake, stake * len(services))
-    cap = stake
-
-    current = np.array([net.w(v, s) for s in services], dtype=float)
-    base_utility = _deviation_utility(rewards, others, current, stake, target)
-
-    candidates = [current]
-    m = len(services)
-    eye = np.eye(m)
-    # Single-service all-ins at the stake cap.
-    for j in range(m):
-        candidates.append(eye[j] * min(budget, cap))
-    # Scaled copies of the current profile (explores lower degrees).
-    for t in range(grid_resolution + 1):
-        candidates.append(current * (t / grid_resolution))
-    # Pairwise splits of the full degree budget.
-    for j in range(m):
-        for k in range(j + 1, m):
-            for t in range(grid_resolution + 1):
-                frac = t / grid_resolution
-                point = np.zeros(m)
-                point[j] = min(cap, budget * frac)
-                point[k] = min(cap, budget * (1 - frac))
-                candidates.append(point)
-    # Random interior points of the budget simplex.
-    rng = np.random.default_rng(seed)
-    if m >= 1:
-        dirichlet = rng.dirichlet(np.ones(m), size=grid_resolution)
-        for row in dirichlet:
-            candidates.append(np.minimum(row * budget, cap))
-    # Just past the gate, to confirm over-allocation never pays.
-    candidates.append(np.minimum(current * 1.01, cap))
-
-    best = base_utility
-    for cand in candidates:
-        u = _deviation_utility(rewards, others, cand, stake, target)
-        if u > best:
-            best = u
-    return best - base_utility
+    free = [s for s, o in others.items() if o == 0] if sigma > 0 else []
+    best = formation_utility(deviated, pools, v) + sum(reward[s] for s in free)
+    return best - formation_utility(net, pools, v), x, not free

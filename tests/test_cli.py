@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from restaking import cli, mip
 from restaking.bruteforce import best_attack
 from restaking.cli import _sweep_entries, main
+from restaking.files import load_network, load_reward_pools
 from restaking.lp import INFEASIBLE
 from restaking.model import (
     InputError,
@@ -34,6 +40,20 @@ HALF_ALLOCATED = {
     "validators": [{"id": "v", "stake": 2}],
     "services": [{"id": "s", "threshold": 1, "prize": 1}],
     "allocations": [{"validator": "v", "service": "s", "amount": 1}],
+}
+
+REWARDS_FILE = {
+    "validators": [{"id": "v1", "stake": 10}, {"id": "v2", "stake": 4}],
+    "services": [
+        {"id": "a", "threshold": 0.5, "prize": 1, "base": False},
+        {"id": "b", "threshold": 0.5, "prize": 1},
+    ],
+    "allocations": [
+        {"validator": "v1", "service": "a", "amount": 5},
+        {"validator": "v2", "service": "b", "amount": 4},
+    ],
+    "rewards": {"a": 2.0, "b": 1.0},
+    "target_degree": 1.2,
 }
 
 
@@ -440,17 +460,95 @@ class TestIncentives:
         assert "big" in capsys.readouterr().err
 
     def test_verify_flag(self, tmp_path, capsys):
-        payload = {
-            "validators": [{"id": "v1", "stake": 10}, {"id": "v2", "stake": 4}],
-            "services": [
-                {"id": "a", "threshold": 0.5, "prize": 1},
-                {"id": "b", "threshold": 0.5, "prize": 1},
-            ],
-            "allocations": [],
-            "rewards": {"a": 2.0, "b": 1.0},
-            "target_degree": 1.2,
-        }
-        path = write(tmp_path, "net.json", payload)
-        assert main(["incentives", path, "--verify", "50"]) == 0
+        path = write(tmp_path, "net.json", dict(REWARDS_FILE, allocations=[]))
+        assert main(["incentives", path, "--verify"]) == 0
         out = capsys.readouterr().out
         assert "max best-response gain" in out
+        assert "best response: a=" in out
+
+    def test_verify_takes_no_argument(self, tmp_path, capsys):
+        path = write(tmp_path, "net.json", REWARDS_FILE)
+        with pytest.raises(SystemExit) as exit_:
+            main(["incentives", path, "--verify", "50"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: 50" in capsys.readouterr().err
+
+
+def _paths(node, prefix=()):
+    """Every key path below a parsed JSON node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _has(node, key) -> bool:
+    if isinstance(node, dict):
+        return key in node
+    return isinstance(node, list) and isinstance(key, int) and key < len(node)
+
+
+DROP = "<drop>"  # the mutation that deletes a field
+
+MUTANT_VALUES = st.one_of(
+    st.just(DROP),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from(["v1", "v2", "a", "b", "zz"]),  # known and unknown ids
+    st.integers(-3, 12),
+    st.sampled_from([10**400, -(10**400), 10**308, 2**1023, 1e308, -1, -0.5]),
+    st.floats(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["id", "stake", "a"]), st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example([(("validators",), 5)])
+@example([(("allocations",), 7)])
+@example([(("validators",), [1])])
+@example([(("allocations", 0, "validator"), [1])])
+@example([(("validators", 0, "stake"), 10**400)])
+@example([(("services", 0, "base"), "yes")])
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(list(_paths(REWARDS_FILE))), MUTANT_VALUES),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_malformed_input_exits_2(mutations):
+    """A mutant the loader rejects exits 2 with a message; no mutant raises."""
+    doc = json.loads(json.dumps(REWARDS_FILE))
+    for path, value in mutations:
+        parent = doc
+        for key in path[:-1]:
+            if not _has(parent, key):
+                break
+            parent = parent[key]
+        else:
+            if _has(parent, path[-1]):
+                if value == DROP:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for loader, argv in (
+            (load_network, ["check", str(path)]),
+            (load_reward_pools, ["incentives", str(path), "--verify"]),
+        ):
+            try:
+                loader(path)
+                rejected = False
+            except InputError:
+                rejected = True
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            if rejected:
+                assert code == 2 and err.getvalue().startswith("error: ")

@@ -66,6 +66,68 @@ def test_errors_name_field_and_id(tmp_path, mutate, fragment):
     assert fragment in str(err.value)
 
 
+def _set(path, value):
+    def mutate(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        (_set(("validators",), 5), "validators: expected a list"),
+        (_set(("allocations",), 7), "allocations: expected a list"),
+        (_set(("services",), {"id": "s"}), "services: expected a list"),
+        (_set(("validators",), [1]), "validators[0]: expected an object"),
+        (_set(("validators", 0, "id"), 3), "validators[0].id: expected a string"),
+        (_set(("allocations", 0, "validator"), [1]), "allocations[0].validator"),
+        (_set(("allocations", 1, "service"), {}), "allocations[1].service"),
+        (_set(("validators", 0, "stake"), 10**400), "validators[0].stake"),
+        (_set(("services", 0, "prize"), -(10**400)), "services[0].prize"),
+        (_set(("services", 0, "base"), "yes"), "services[0].base"),
+        (_set(("services", 0, "base"), 1), "services[0].base"),
+        (_set(("validators",), [{"id": "a", "stake": 1e308}, {"id": "b", "stake": 1e308}]),
+         "total stake"),
+        (_set(("validators",), [{"id": "a", "stake": 10**308}, {"id": "b", "stake": 10**308}]),
+         "total stake"),
+    ],
+)
+def test_malformed_shapes_name_the_field(tmp_path, mutate, fragment):
+    payload = json.loads(json.dumps(BASE))
+    mutate(payload)
+    with pytest.raises(InputError) as err:
+        load_network(write(tmp_path, payload))
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text", [b"1" * 5000, b"\xff\xfe", None])
+def test_unreadable_files_are_input_errors(tmp_path, text):
+    path = tmp_path / "net.json"
+    if text is not None:  # None: the file does not exist
+        path.write_bytes(text)
+    with pytest.raises(InputError) as err:
+        load_network(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "rewards, fragment",
+    [({"s": 10**400, "t": 1}, "rewards.s"), ({"s": 1e308, "t": 1e308}, "rewards: total")],
+)
+def test_rewards_beyond_float_range(tmp_path, rewards, fragment):
+    payload = dict(BASE)
+    payload["services"] = BASE["services"] + [{"id": "t", "threshold": 0.5, "prize": 5}]
+    payload["rewards"] = rewards
+    payload["target_degree"] = 1.0
+    with pytest.raises(InputError) as err:
+        load_reward_pools(write(tmp_path, payload))
+    assert fragment in str(err.value)
+
+
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_numbers_rejected(tmp_path, text):
     path = tmp_path / "net.json"
