@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any
 
 from .incentives import RewardPools
-from .model import InputError, Network
+from .model import InputError, Network, check_total
 
 __all__ = ["load_json", "load_network", "load_network_data", "load_reward_pools"]
 
@@ -99,7 +99,8 @@ def load_network_data(data: dict) -> Network:
             raise InputError(f"{where}.stake: must be positive (id {vid!r})")
         validators.append(vid)
         stake[vid] = value
-    _number(sum(stake.values()), "validators: total stake")
+    # Network checks the totals too; checked here, they are reported first.
+    check_total(stake.values(), "validators: total stake")
 
     services: list[str] = []
     threshold: dict[str, float] = {}
@@ -123,7 +124,7 @@ def load_network_data(data: dict) -> Network:
             raise InputError(f"{where}.base: expected true or false (id {sid!r})")
         if is_base:
             base.add(sid)
-    _number(sum(prize.values()), "services: total prize")
+    check_total(prize.values(), "services: total prize")
 
     allocation: dict[tuple[str, str], float] = {}
     for where, entry in _entries(data, "allocations", required=False):

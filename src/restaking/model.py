@@ -30,6 +30,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "InputError",
     "Network",
+    "check_total",
     "Attack",
     "AttackEvaluation",
     "PrizeShares",
@@ -65,6 +66,17 @@ def _exact(*values) -> bool:
     return all(isinstance(v, numbers.Rational) for v in values)
 
 
+def check_total(values, where: str) -> None:
+    """Raise InputError, naming where, when the values sum beyond float range."""
+    total = sum(values)
+    try:
+        finite = math.isfinite(total)
+    except OverflowError:
+        raise InputError(f"{where}: integer too large for a float") from None
+    if not finite:
+        raise InputError(f"{where}: must be finite, got {total!r}")
+
+
 def _le(a, b) -> bool:
     """a <= b, tolerance-padded for floats so the insecure side wins ties."""
     if _exact(a, b):
@@ -94,11 +106,13 @@ class Network:
         validators: validator ids in deterministic (insertion) order.
         services: service ids in deterministic (insertion) order.
         stake: per-validator stake, non-negative (zero only arises from
-            slashing transitions; fresh networks require positive stake).
+            slashing transitions; fresh networks require positive stake),
+            with a total within float range.
         allocation: stake pledged per (validator, service) pair; omitted
             pairs are zero.
         threshold: per-service attack threshold in [0, 1].
-        prize: per-service attack prize, positive.
+        prize: per-service attack prize, positive, with a total within
+            float range.
         base_services: services that can never be chosen Byzantine.
     """
 
@@ -126,6 +140,7 @@ class Network:
                 raise InputError(
                     f"stake: must be non-negative and finite (validator {v!r})"
                 )
+        check_total((self.stake[v] for v in self.validators), "validators: total stake")
         for s in self.services:
             if s not in self.threshold or s not in self.prize:
                 raise InputError(f"missing threshold or prize for service {s!r}")
@@ -135,6 +150,7 @@ class Network:
                 raise InputError(
                     f"prize: must be positive and finite (service {s!r})"
                 )
+        check_total((self.prize[s] for s in self.services), "services: total prize")
         for (v, s), w in self.allocation.items():
             if v not in vset:
                 raise InputError(f"allocation: unknown validator {v!r}")

@@ -44,10 +44,12 @@ def half_allocated():
 
 
 def random_network(rng: random.Random, max_validators: int = 4,
-                   max_services: int = 4, allow_empty_service: bool = True) -> Network:
-    """Random small network for oracle cross-checks."""
-    n = rng.randint(1, max_validators)
-    m = rng.randint(1, max_services)
+                   max_services: int = 4, allow_empty_service: bool = True,
+                   min_size: int = 1) -> Network:
+    """Random small network for oracle cross-checks, with at least min_size
+    validators and services."""
+    n = rng.randint(min_size, max_validators)
+    m = rng.randint(min_size, max_services)
     validators = tuple(f"v{i}" for i in range(n))
     services = tuple(f"s{j}" for j in range(m))
     stake = {v: rng.uniform(0.5, 3.0) for v in validators}

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from restaking import mip
-from restaking.lp import OPTIMAL
+from restaking.lp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp
 from restaking.mip import BELOW_TARGET, build_budget_mip, solve_mip
 from restaking.model import Network, evaluate_attack
 
@@ -132,3 +132,38 @@ def test_decision_mode_brackets_highs_optimum():
             attack = mip._attack_from_values(net, reached.values)
             assert evaluate_attack(net, attack).margin >= y - step
             assert solve_mip(problem, target=y + step).status == BELOW_TARGET
+
+
+def linprog_value(lp: LpProblem, bounds) -> float | None:
+    """HiGHS's optimum of a budget-program LP under bounds, None if infeasible."""
+    rows = np.array([coeffs for coeffs, _, _ in lp.constraints])
+    rhs = np.array([b for _, _, b in lp.constraints])
+    result = optimize.linprog(-np.asarray(lp.objective), A_ub=-rows, b_ub=-rhs,
+                              bounds=bounds, method="highs")
+    if result.status == 2:
+        return None
+    assert result.status == 0, result.message
+    return -result.fun
+
+
+def test_kernel_matches_linprog_beyond_workload_sizes():
+    # Budget-program LPs of 2..20 validators by 2..20 services: the root
+    # solved cold, then a chain of children each warm from the one before
+    # with more random binaries fixed, as branch and bound solves them.
+    rng = random.Random(40)
+    for _ in range(24):
+        net = random_network(rng, max_validators=20, max_services=20, min_size=2)
+        problem = build_budget_mip(net)
+        solution, bounds = solve_lp(problem.lp), list(problem.lp.bounds)
+        for _ in range(5):
+            value = linprog_value(problem.lp, bounds)
+            if value is None:
+                assert solution.status == INFEASIBLE
+                break
+            assert solution.status == OPTIMAL
+            assert abs(solution.objective_value - value) <= 1e-9 * max(1.0, abs(value))
+            free = [j for j in sorted(problem.integral) if bounds[j][0] != bounds[j][1]]
+            fix = {j: float(rng.randint(0, 1)) for j in rng.sample(free, min(len(free), 3))}
+            for j, v in fix.items():
+                bounds[j] = (v, v)
+            solution = solve_lp(problem.lp, start=solution, fix=fix)

@@ -198,3 +198,57 @@ def test_bland_rule_from_the_first_pivot(monkeypatch):
         sol = solve_lp(problem)
         assert sol.status == expected.status == OPTIMAL
         assert sol.objective_value == pytest.approx(expected.objective_value, abs=1e-9)
+
+
+def log_first_flips(monkeypatch) -> list[int]:
+    """Patch the kernel to log, per dual simplex pass, how many columns its
+    first iteration flips to their other bound.
+
+    Inside the dual a list move is a set of bound flips, and a single-column
+    move is the entering column's step, which ends the iteration.
+    """
+    real_dual, real_move = lp._dual, lp._Tableau.move
+    log: list[int] = []
+    first_iteration = [False]
+
+    def dual(s):
+        log.append(0)
+        first_iteration[0] = True
+        try:
+            return real_dual(s)
+        finally:
+            first_iteration[0] = False
+
+    def move(self, cols, steps):
+        if first_iteration[0]:
+            if isinstance(cols, list):
+                log[-1] += len(cols)
+            else:
+                first_iteration[0] = False
+        return real_move(self, cols, steps)
+
+    monkeypatch.setattr(lp, "_dual", dual)
+    monkeypatch.setattr(lp._Tableau, "move", move)
+    return log
+
+
+def test_first_dual_iteration_flips_columns(monkeypatch):
+    # Covering 2.5 units with columns in [0, 1] of cost 1, 2, 3, 4: the
+    # dual's ratio test passes the breakpoints of the two cheapest, which
+    # flip to their upper bounds, and the third enters at 0.5. A fifth
+    # column y of cost 0.5 is pinned at 0: cold by its bounds, and warm from
+    # the optimum with y in [0, 3], where y covers everything and is basic.
+    rows = [([1.0, 1.0, 1.0, 1.0, 1.0], ">=", 2.5)]
+    objective = [1.0, 2.0, 3.0, 4.0, 0.5]
+    loose = LpProblem(objective=objective, constraints=rows, bounds=[(0.0, 1.0)] * 4 + [(0.0, 3.0)])
+    pinned = LpProblem(objective=objective, constraints=rows, bounds=[(0.0, 1.0)] * 4 + [(0.0, 0.0)])
+    parent = solve_lp(loose)
+    assert parent.status == OPTIMAL
+    flips = log_first_flips(monkeypatch)
+    cold = solve_lp(pinned)
+    warm = solve_lp(loose, start=parent, fix={4: 0.0})
+    assert flips == [2, 2]
+    for sol in (cold, warm):
+        assert sol.status == OPTIMAL
+        assert sol.objective_value == pytest.approx(4.5, abs=1e-12)
+        np.testing.assert_allclose(sol.values, [1.0, 1.0, 0.5, 0.0, 0.0], atol=1e-12)

@@ -506,3 +506,18 @@ def test_non_finite_numbers_rejected(field, value):
     data[field] = {key: value}
     with pytest.raises(InputError):
         Network(**data)
+
+
+@pytest.mark.parametrize("big", [1e308, 10**308])
+def test_totals_beyond_float_range_rejected(big):
+    # Each number is finite, but the engines sum stakes and allocations:
+    # with these two validators the budget MIP ended infeasible and the
+    # oracle raised TypeError on infinite totals.
+    with pytest.raises(InputError, match="validators: total stake"):
+        Network(validators=("a", "b"), services=("s",), stake={"a": big, "b": big},
+                allocation={("a", "s"): big, ("b", "s"): big},
+                threshold={"s": 0.5}, prize={"s": 1.0})
+    with pytest.raises(InputError, match="services: total prize"):
+        Network(validators=("a",), services=("s", "t"), stake={"a": 1.0},
+                allocation={("a", "s"): 1.0}, threshold={"s": 0.5, "t": 0.5},
+                prize={"s": big, "t": big})

@@ -5,6 +5,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restaking.bruteforce import min_budget_bruteforce
+from restaking.mip import MipStatusError, min_budget
 from restaking.model import (
     Attack,
     Network,
@@ -13,6 +15,8 @@ from restaking.model import (
     prize_shares,
 )
 from restaking.symmetry import SymmetricNetwork, consolidated_attack, to_network
+
+from conftest import as_fractions
 
 
 @st.composite
@@ -149,3 +153,37 @@ def test_consolidation_never_costs_more(sym, data):
     assert consolidated.total_cost <= ev.total_cost + 1e-9
     assert set(target) <= set(consolidated.attacked_services)
     assert consolidated.total_prize >= ev.total_prize - 1e-9
+
+
+@st.composite
+def wide_networks(draw):
+    """Up to 5 x 5, stakes and prizes log-uniform over 1e-6..1e9, each
+    allocation a fraction of its validator's stake."""
+    magnitude = st.floats(-6.0, 9.0).map(lambda e: 10.0 ** e)
+    validators = tuple(f"v{i}" for i in range(draw(st.integers(1, 5))))
+    services = tuple(f"s{j}" for j in range(draw(st.integers(1, 5))))
+    stake = {v: draw(magnitude) for v in validators}
+    allocation = {(v, s): draw(st.floats(0.0, 1.0)) * stake[v]
+                  for v in validators for s in services}
+    return Network(validators=validators, services=services, stake=stake,
+                   allocation={pair: w for pair, w in allocation.items() if w > 0},
+                   threshold={s: draw(st.floats(0.0, 1.0)) for s in services},
+                   prize={s: draw(magnitude) for s in services})
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_networks())
+def test_min_budget_is_exact_or_raises_over_fifteen_magnitudes(net):
+    # The MIP against the exact oracle. Its 1e-6 integrality and 1e-8 row
+    # tolerances act on rows scaled to their largest coefficient, so on
+    # some of these networks (a full allocation at threshold 1 next to a
+    # stake 1e-6 of it) its optimum misses the oracle's by more than
+    # 1e-9 of the largest stake or prize. The witness re-check must then
+    # raise MipStatusError: an answer is never silently wrong.
+    scale = max(*net.stake.values(), *net.prize.values())
+    exact = float(min_budget_bruteforce(as_fractions(net)))
+    try:
+        value = min_budget(net)
+    except MipStatusError:
+        return
+    assert abs(value - exact) <= 1e-9 * scale
