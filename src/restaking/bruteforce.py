@@ -32,7 +32,7 @@ from .model import (
     Network,
     capped_attack,
     evaluate_attack,
-    is_profitable,
+    is_beta_costly,
 )
 
 __all__ = [
@@ -142,7 +142,7 @@ def has_profitable_indivisible_attack(net: Network) -> bool:
     margin, attack = best_indivisible_attack(net)
     if margin == -math.inf:
         return False
-    return is_profitable(evaluate_attack(net, attack))
+    return is_beta_costly(evaluate_attack(net, attack), 0)
 
 
 def build_indivisible_reduction(

@@ -11,10 +11,11 @@ Three subcommands:
 
 Exit codes: 0 the network is robust, 1 it is not, 2 input, capability or
 solver error (including engine disagreement, which is itself a
-cross-validation feature). All numbers print with six decimals, matching
-the 1e-6 solve precision. Reported safe budgets are open upper bounds: a
-network robust "at budget b" withstands any budget strictly below the
-failure point.
+cross-validation feature, printed with every engine's verdict and the
+witness of each engine that found one). All numbers print with six
+decimals, matching the 1e-6 solve precision. Reported safe budgets are open
+upper bounds: a network robust "at budget b" withstands any budget strictly
+below the failure point.
 """
 
 from __future__ import annotations
@@ -55,43 +56,42 @@ def _fmt(x) -> str:
     return f"{float(x):.6f}"
 
 
-def _describe_attack(net: Network, attack: Attack) -> list[str]:
-    evaluation = evaluate_attack(net, attack)
-    lines = [
-        "  attacked services: " + ", ".join(sorted(evaluation.attacked_services)),
-    ]
-    for v in net.validators:
+def _print_witness(net: Network, engine: str, witness: tuple) -> None:
+    """Print an engine's witness: its Byzantine services, then the attack on
+    the network they leave, with each validator's aimed stake and cost."""
+    byzantine, attack = witness
+    print(f"witness ({engine}):")
+    if byzantine:
+        print("  byzantine services: " + ", ".join(byzantine))
+    slashed = apply_byzantine(net, byzantine)
+    evaluation = evaluate_attack(slashed, attack)
+    print("  attacked services: " + ", ".join(sorted(evaluation.attacked_services)))
+    for v in slashed.validators:
         used = {
             s: attack.used(v, s)
-            for s in net.services
+            for s in slashed.services
             if attack.used(v, s) > 0
         }
         if used:
             parts = ", ".join(f"{s}={_fmt(a)}" for s, a in sorted(used.items()))
-            lines.append(f"  {v}: {parts} (cost {_fmt(evaluation.validator_cost[v])})")
-    lines.append(
+            print(f"  {v}: {parts} (cost {_fmt(evaluation.validator_cost[v])})")
+    print(
         f"  total cost {_fmt(evaluation.total_cost)}, "
         f"prize {_fmt(evaluation.total_prize)}, "
         f"margin {_fmt(evaluation.margin)}"
     )
-    return lines
 
 
 def _symmetric_engine(net: Network, budget, cap) -> tuple | None:
-    violation = find_beta_costly(as_symmetric(net), budget, weight_cap=cap)
-    if violation is None:
+    witness = find_beta_costly(as_symmetric(net), budget, weight_cap=cap)
+    if witness is None:
         return None
+    byzantine, attack = witness
     # The closed form names validators v1..vn; map them onto the file's ids.
     ids = {f"v{i + 1}": v for i, v in enumerate(net.validators)}
-    attack = Attack(stake_used={
-        (ids[v], s): a for (v, s), a in violation.attack.stake_used.items()
+    return byzantine, Attack(stake_used={
+        (ids[v], s): a for (v, s), a in attack.stake_used.items()
     })
-    return violation.byzantine, attack
-
-
-def _mip_engine(net: Network, budget, cap) -> tuple | None:
-    report = mipmod.mip_check(net, budget, cap)
-    return None if report.robust else (report.byzantine, report.attack)
 
 
 def _oracle_engine(net: Network, budget, cap) -> tuple | None:
@@ -108,7 +108,9 @@ def _oracle_engine(net: Network, budget, cap) -> tuple | None:
 #: at most ``cap``.
 _ENGINES = {
     "symmetric": _symmetric_engine,
-    "mip": _mip_engine,
+    # Looked up on the module at each call, so that a wrapper installed on
+    # mip.mip_check sees the checks made here.
+    "mip": lambda net, budget, cap: mipmod.mip_check(net, budget, cap),
     "brute-force": _oracle_engine,
 }
 
@@ -174,6 +176,9 @@ def cmd_check(args) -> int:
         print("engine discrepancy:")
         for name, witness in witnesses.items():
             print(f"  {name}: {'robust' if witness is None else 'not robust'}")
+        for name, witness in witnesses.items():
+            if witness is not None:
+                _print_witness(net, name, witness)
         return 2
 
     what = (
@@ -186,11 +191,7 @@ def cmd_check(args) -> int:
         print(f"verdict: {what} (engines: {engines})")
         return 0
     print(f"verdict: NOT {what} (engines: {engines})")
-    byzantine, attack = witnesses[names[0]]
-    print(f"witness ({names[0]}):")
-    if byzantine:
-        print("  byzantine services: " + ", ".join(byzantine))
-    print("\n".join(_describe_attack(apply_byzantine(net, byzantine), attack)))
+    _print_witness(net, names[0], witnesses[names[0]])
     return 1
 
 

@@ -3,8 +3,7 @@
 Each sweep emits a table whose first column is the x-axis (restaking_degree
 or robustness_threshold) and whose remaining columns are named
 min_stake_threshold_<label> or min_budget_<label>, so reproduced figures
-diff cleanly against expectations. Grid cells are independent; set the
-RESTAKING_THREADS environment variable to compute them in parallel.
+diff cleanly against expectations.
 
 A cell whose configuration is unsatisfiable at any stake (slashing can wipe
 the entire stake regardless of its size) is emitted as nan.
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -80,31 +78,9 @@ def write_csv(table: Table, path: str | Path) -> None:
             writer.writerow([_format_cell(v) for v in row])
 
 
-def _thread_count() -> int:
-    """Worker processes from RESTAKING_THREADS, between 1 and the CPU count."""
-    try:
-        requested = int(os.environ.get("RESTAKING_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(requested, os.cpu_count() or 1))
-
-
-def _map_cells(fn: Callable, tasks: list[tuple]) -> list:
-    """fn(*task) for every task, over RESTAKING_THREADS worker processes."""
-    workers = _thread_count()
-    if workers == 1 or len(tasks) <= 1:
-        return [fn(*task) for task in tasks]
-    # Imported here: multiprocessing costs every serial run about 2 MB.
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
-
-
 def _rows(fn: Callable, xs: Sequence, ys: Sequence, task: Callable) -> list[list]:
-    """One row ``[x, fn(*task(x, y)) for y in ys]`` per x, cells computed by _map_cells."""
-    values = _map_cells(fn, [task(x, y) for x in xs for y in ys])
-    k = len(ys)
-    return [[x] + values[i * k : (i + 1) * k] for i, x in enumerate(xs)]
+    """One row ``[x, fn(*task(x, y)) for y in ys]`` per x."""
+    return [[x] + [fn(*task(x, y)) for y in ys] for x in xs]
 
 
 def degree_grid(n_services: int, step: float = 0.1, lo: float = 1.0,

@@ -19,7 +19,8 @@ Every Byzantine question reduces one generator,
 :func:`restaking.model.byzantine_choices`, which yields one admissible
 Byzantine subset per multiset of interchangeable services with the network
 its slashing leaves, and asks the budget program about that network:
-:func:`mip_check` takes the first attackable subset,
+:func:`mip_check` takes the first attackable subset, returned with its
+witness as every engine returns one (``(Byzantine services, attack)``),
 :func:`max_byzantine_fraction` the lightest, and
 ``experiments.min_stake_mip`` the largest minimum stake. The first two only
 ask whether some attack clears the budget, so their branch and bound runs in
@@ -67,7 +68,6 @@ __all__ = [
     "attackable",
     "min_budget",
     "max_byzantine_fraction",
-    "RobustnessReport",
     "mip_check",
     "write_lp_format",
 ]
@@ -321,20 +321,6 @@ def min_budget(net: Network) -> float:
     return max(0.0, -profit)
 
 
-@dataclass
-class RobustnessReport:
-    """Outcome of a robustness check, with a witness when it fails."""
-
-    robust: bool
-    budget: float
-    weight_cap: float
-    byzantine: tuple[str, ...] = ()
-    attack: Attack | None = None
-    attacked: tuple[str, ...] = ()
-    cost: float | None = None
-    prize: float | None = None
-
-
 def _attack_from_values(net: Network, values: np.ndarray) -> Attack:
     """The attack a budget-program solution of net encodes: the cheapest one
     on its attacked services with its capped validators paying their stake,
@@ -345,30 +331,21 @@ def _attack_from_values(net: Network, values: np.ndarray) -> Attack:
     return capped_attack(net, attacked, capped)
 
 
-def mip_check(net: Network, budget, weight_cap) -> RobustnessReport:
-    """Decide robustness against a budget and a Byzantine weight cap.
+def mip_check(net: Network, budget, weight_cap) -> tuple[tuple[str, ...], Attack] | None:
+    """The first violation of (weight cap, budget)-robustness, or None.
 
     The budget program decides, for each distinct admissible Byzantine
     subset, whether the network its slashing leaves can be attacked within
-    the budget. The first failing subset is reported with its witness attack.
+    the budget. The first subset that can is returned with its witness:
+    ``(Byzantine services, attack on the network they leave)``.
     """
     if budget < 0:
         raise InputError("budget must be non-negative")
     for subset, slashed in byzantine_choices(net, weight_cap):
         found = _attack_within(slashed, budget)
         if found is not None:
-            attack, evaluation = found
-            return RobustnessReport(
-                robust=False,
-                budget=budget,
-                weight_cap=weight_cap,
-                byzantine=tuple(subset),
-                attack=attack,
-                attacked=tuple(sorted(evaluation.attacked_services)),
-                cost=float(evaluation.total_cost),
-                prize=float(evaluation.total_prize),
-            )
-    return RobustnessReport(robust=True, budget=budget, weight_cap=weight_cap)
+            return tuple(subset), found[0]
+    return None
 
 
 def max_byzantine_fraction(net: Network, budget) -> float:

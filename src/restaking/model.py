@@ -16,6 +16,11 @@ Byzantine choices: :func:`byzantine_subsets` lists every admissible subset,
 the reference; :func:`byzantine_choices` yields one per count vector over
 classes of interchangeable services from the generator the closed form in
 ``symmetry`` reduces too, so every engine visits the same choices in order.
+
+Witnesses: every engine reports a violation as ``(Byzantine services, attack
+on the network they leave)``, and builds the attack with
+:func:`capped_attack` from the attacked services and the validators that
+pay their whole stake.
 """
 
 from __future__ import annotations
@@ -39,9 +44,7 @@ __all__ = [
     "evaluate_attack",
     "capped_attack",
     "prize_shares",
-    "security_utility",
     "robustness_utility",
-    "is_profitable",
     "is_beta_costly",
     "apply_byzantine",
     "byzantine_subsets",
@@ -330,17 +333,11 @@ def prize_shares(net: Network, evaluation: AttackEvaluation) -> PrizeShares:
     return PrizeShares(share=shares)
 
 
-def security_utility(net: Network, a: Attack, v: str):
-    """Validator utility in the security game: prize share minus cost."""
-    evaluation = evaluate_attack(net, a)
-    shares = prize_shares(net, evaluation)
-    return shares.share[v] * evaluation.total_prize - evaluation.validator_cost[v]
-
-
 def robustness_utility(net: Network, a: Attack, v: str, budget):
     """Validator utility when an adversary adds ``budget`` to the prize pot.
 
-    The subsidy is paid only if at least one service is attacked.
+    The subsidy is paid only if at least one service is attacked. Budget 0
+    is the security game: the validator's prize share minus its cost.
     """
     if budget < 0:
         raise InputError("budget must be non-negative")
@@ -352,17 +349,9 @@ def robustness_utility(net: Network, a: Attack, v: str, budget):
     return -evaluation.validator_cost[v]
 
 
-def is_profitable(evaluation: AttackEvaluation) -> bool:
-    """True when something was attacked and the prize covers the cost."""
-    return bool(evaluation.attacked_services) and _le(
-        evaluation.total_cost, evaluation.total_prize
-    )
-
-
 def is_beta_costly(evaluation: AttackEvaluation, budget) -> bool:
-    """True when the prize plus an adversary subsidy covers the cost.
-
-    With budget 0 this coincides with :func:`is_profitable`.
+    """True when something was attacked and the prize plus an adversary
+    subsidy covers the cost; with budget 0, when the attack is profitable.
     """
     if budget < 0:
         raise InputError("budget must be non-negative")

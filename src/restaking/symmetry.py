@@ -10,11 +10,12 @@ and subsets only matter through their (allocation, prize) class counts, so
 the enumeration is polynomial per class. Byzantine choices come from the
 class-count generator in :mod:`restaking.model` that every engine shares,
 one per count vector, and one generator here pairs each of them with every
-consolidated attack after it;
-:func:`is_f_beta_robust`, :func:`find_beta_costly`, :func:`max_budget` and
-:func:`min_stake_for` reduce it by any, first, min and max. Byzantine weight
-caps are absolute, as everywhere in the package (see
-:func:`restaking.model.byzantine_weight_cap`).
+consolidated attack after it; :func:`find_beta_costly`, :func:`max_budget`
+and :func:`min_stake_for` reduce it by first, min and max. A violation is
+reported as every engine reports it, ``(Byzantine services, attack)``, the
+attack built by :func:`restaking.model.capped_attack` with the first
+floor(threshold * n) validators capped. Byzantine weight caps are absolute,
+as everywhere in the package (see :func:`restaking.model.byzantine_weight_cap`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .model import (
     _exact,
     _le,
     byzantine_weight_cap,
+    capped_attack,
 )
 
 __all__ = [
@@ -42,8 +44,6 @@ __all__ = [
     "to_network",
     "consolidated_cost",
     "consolidated_attack",
-    "is_f_beta_robust",
-    "SymmetricViolation",
     "find_beta_costly",
     "max_budget",
     "SweepTemplate",
@@ -81,8 +81,8 @@ class SymmetricNetwork:
         object.__setattr__(self, "base_services", frozenset(self.base_services))
         if self.n_validators < 1:
             raise InputError("need at least one validator")
-        if self.stake <= 0:
-            raise InputError("stake must be positive")
+        if not 0 < self.stake < math.inf:
+            raise InputError("stake must be positive and finite")
         if not 0 <= self.threshold <= 1:
             raise InputError("threshold must lie in [0, 1]")
         if set(self.allocation) != set(self.prize):
@@ -91,8 +91,8 @@ class SymmetricNetwork:
             if w < 0 or not _le(w, self.stake):
                 raise InputError(f"allocation must lie in [0, stake] (service {s!r})")
         for s, p in self.prize.items():
-            if p <= 0:
-                raise InputError(f"prize must be positive (service {s!r})")
+            if not 0 < p < math.inf:
+                raise InputError(f"prize must be positive and finite (service {s!r})")
         if not self.base_services <= set(self.allocation):
             raise InputError("base_services must be a subset of services")
 
@@ -190,26 +190,20 @@ def consolidated_cost(sym: SymmetricNetwork, target: Iterable[str]):
 
 
 def consolidated_attack(sym: SymmetricNetwork, target: Iterable[str]) -> Attack:
-    """The unique consolidated attack hitting exactly the target services.
+    """The consolidated attack hitting the target services.
 
-    Expressed against :func:`to_network` validator ids: validators v1..vk at
-    full allocation and v(k+1) at the fractional remainder.
+    Expressed against :func:`to_network` validator ids: validators v1..vk pay
+    their whole stake and the rest fill what each service still needs, so
+    v(k+1) commits the fractional remainder (see
+    :func:`restaking.model.capped_attack`).
     """
     target = tuple(target)
     unknown = set(target) - set(sym.services)
     if unknown:
         raise InputError(f"unknown services: {sorted(unknown)}")
-    k, frac = _threshold_split(sym)
-    used: dict[tuple[str, str], float] = {}
-    for s in target:
-        w = sym.allocation[s]
-        if w == 0:
-            continue
-        for i in range(min(k, sym.n_validators)):
-            used[(f"v{i + 1}", s)] = w
-        if frac > 0 and k < sym.n_validators:
-            used[(f"v{k + 1}", s)] = frac * w
-    return Attack(stake_used=used)
+    net = to_network(sym)
+    k, _ = _threshold_split(sym)
+    return capped_attack(net, target, net.validators[:k])
 
 
 def _classes(sym: SymmetricNetwork) -> list[tuple[tuple, list[str]]]:
@@ -284,60 +278,27 @@ def _consolidated_attacks(sym: SymmetricNetwork, weight_cap) -> Iterator[tuple]:
             yield byz, slashed, classes, vector, cost, sum(ps)
 
 
-def is_f_beta_robust(sym: SymmetricNetwork, budget, weight_cap) -> bool:
-    """Robustness against a budget after any admissible Byzantine choice.
-
-    Every Byzantine choice of total weight at most ``weight_cap`` is
-    applied, and every consolidated attack on what slashing leaves must cost
-    strictly more than its prize plus the budget. A choice that removes
-    every service is vacuously fine.
-    """
-    if budget < 0:
-        raise InputError("budget must be non-negative")
-    return not any(
-        _le(cost, prize + budget)
-        for *_, cost, prize in _consolidated_attacks(sym, weight_cap)
-    )
-
-
-@dataclass(frozen=True)
-class SymmetricViolation:
-    """Witness that a symmetric network is not (weight cap, budget)-robust."""
-
-    byzantine: tuple[str, ...]
-    target: tuple[str, ...]
-    attack: Attack
-    cost: float
-    prize: float
-
-
 def find_beta_costly(
     sym: SymmetricNetwork, budget, weight_cap
-) -> SymmetricViolation | None:
-    """The first violating (Byzantine choice, consolidated attack) pair.
+) -> tuple[tuple[str, ...], Attack] | None:
+    """The first violation of (weight cap, budget)-robustness, or None.
 
-    Returns None exactly when :func:`is_f_beta_robust` holds. Byzantine
-    services and attack targets are picked deterministically from their
-    equivalence classes in service order; the attack is expressed against
-    :func:`to_network` validator ids.
+    Every Byzantine choice of total weight at most ``weight_cap`` is applied,
+    and the network is robust when every consolidated attack on what
+    slashing leaves costs strictly more than its prize plus the budget; a
+    choice that removes every service is vacuously fine. A violation is
+    ``(Byzantine services, consolidated attack)``, both picked
+    deterministically from their equivalence classes in service order; the
+    attack is expressed against :func:`to_network` validator ids.
     """
     if budget < 0:
         raise InputError("budget must be non-negative")
     for byz, slashed, classes, counts, cost, prize in _consolidated_attacks(
         sym, weight_cap
     ):
-        if not _le(cost, prize + budget):
-            continue
-        target: list[str] = []
-        for c, (_, ids) in zip(counts, classes):
-            target.extend(ids[:c])
-        return SymmetricViolation(
-            byzantine=byz,
-            target=tuple(target),
-            attack=consolidated_attack(slashed, target),
-            cost=cost,
-            prize=prize,
-        )
+        if _le(cost, prize + budget):
+            target = [s for c, (_, ids) in zip(counts, classes) for s in ids[:c]]
+            return byz, consolidated_attack(slashed, target)
     return None
 
 

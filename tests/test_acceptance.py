@@ -33,7 +33,7 @@ from restaking.model import (
     apply_byzantine,
     byzantine_weight_cap,
     evaluate_attack,
-    is_profitable,
+    is_beta_costly,
     restaking_degree,
 )
 from restaking.symmetry import (
@@ -41,7 +41,7 @@ from restaking.symmetry import (
     SymmetricNetwork,
     as_symmetric,
     consolidated_attack,
-    is_f_beta_robust,
+    find_beta_costly,
     max_budget,
     min_stake_for,
     to_network,
@@ -78,8 +78,8 @@ def test_criterion_1_atomic_boundary(fig_atomic):
         assert min_budget_bruteforce(fig_atomic) == pytest.approx(15.0, abs=1e-6)
         sym = as_symmetric(fig_atomic)
         assert max_budget(sym, weight_cap=0) == pytest.approx(15.0, abs=1e-6)
-        assert is_f_beta_robust(sym, 14.999999, weight_cap=0)
-        assert not is_f_beta_robust(sym, 15.0, weight_cap=0)
+        assert find_beta_costly(sym, 14.999999, weight_cap=0) is None
+        assert find_beta_costly(sym, 15.0, weight_cap=0) is not None
 
 
 def test_criterion_2_integer_threshold_flat_line():
@@ -160,7 +160,7 @@ def test_criterion_6_reduction_faithfulness():
             truth = subset_sum_bruteforce(elements, target)
             net = build_divisible_reduction(elements, target)
             margin, attack = best_attack(net)
-            profitable = margin >= -1e-9 and is_profitable(evaluate_attack(net, attack))
+            profitable = margin >= -1e-9 and is_beta_costly(evaluate_attack(net, attack), 0)
             assert profitable == truth
 
 

@@ -89,12 +89,48 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "symmetric" in out and "mip" in out and "brute-force" in out
 
-    def test_asymmetric_routes_to_mip(self, tmp_path, capsys):
+    def test_asymmetric_routes_to_mip(self, tmp_path, capsys, monkeypatch):
+        # The CLI looks mip.mip_check up at call time, so a wrapper installed
+        # there, as perfbench's tracer installs one, sees the check.
+        calls = []
+        real = mip.mip_check
+        monkeypatch.setattr(mip, "mip_check", lambda *args: calls.append(args) or real(*args))
         payload = json.loads(json.dumps(FIG_ATOMIC))
         payload["validators"][1]["stake"] = 25
         path = write(tmp_path, "net.json", payload)
         assert main(["check", path, "--budget", "14"]) == 0
         assert "mip" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_engine_discrepancy_prints_each_witness(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli._ENGINES, "mip", lambda net, budget, cap: None)
+        path = write(tmp_path, "net.json", FIG_ATOMIC)
+        assert main(["check", path, "--budget", "15", "--mip"]) == 2
+        assert capsys.readouterr().out == (
+            "engine discrepancy:\n"
+            "  symmetric: not robust\n"
+            "  mip: robust\n"
+            "witness (symmetric):\n"
+            "  attacked services: s\n"
+            "  v1: s=20.000000 (cost 20.000000)\n"
+            "  total cost 20.000000, prize 5.000000, margin -15.000000\n"
+        )
+
+    def test_large_stake_symmetric_witness_attacks_its_service(self, tmp_path, capsys):
+        # At stakes near 1e10 a fractional share of the allocation can fall
+        # short of the required stake by more than the 1e-9 tolerance; the
+        # witness must still attack the service.
+        validators = [f"v{i + 1}" for i in range(6)]
+        payload = {
+            "validators": [{"id": v, "stake": 6671001936.63} for v in validators],
+            "services": [{"id": "s0", "threshold": 0.7, "prize": 1e10}],
+            "allocations": [{"validator": v, "service": "s0", "amount": 193493934.1}
+                            for v in validators],
+        }
+        path = write(tmp_path, "net.json", payload)
+        assert main(["check", path]) == 1
+        out = capsys.readouterr().out
+        assert "witness (symmetric):\n  attacked services: s0\n" in out
 
     def test_fraction_flag(self, tmp_path):
         payload = {

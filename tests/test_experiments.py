@@ -1,10 +1,6 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +9,6 @@ from hypothesis import strategies as st
 from restaking.bruteforce import best_attack
 from restaking.experiments import (
     Table,
-    _thread_count,
     degree_grid,
     min_stake_mip,
     sweep_failure_decomposition,
@@ -214,31 +209,3 @@ def test_degree_grid_bounds():
     grid = degree_grid(3, 0.5)
     assert grid[0] == 1.0 and grid[-1] == 3.0
     assert len(grid) == 5
-
-
-def test_thread_count_clamped_to_cpus(monkeypatch):
-    monkeypatch.setenv("RESTAKING_THREADS", str(10 ** 6))
-    assert _thread_count() == (os.cpu_count() or 1)
-    monkeypatch.setenv("RESTAKING_THREADS", "0")
-    assert _thread_count() == 1
-
-
-def test_parallel_map_matches_serial(monkeypatch):
-    serial = sweep_min_stake_security(6, 6, [0.5], [1.0, 2.0, 3.0])
-    monkeypatch.setenv("RESTAKING_THREADS", "2")
-    parallel = sweep_min_stake_security(6, 6, [0.5], [1.0, 2.0, 3.0])
-    assert serial.columns == parallel.columns
-    assert serial.rows == parallel.rows
-
-
-def test_import_leaves_the_pool_unloaded():
-    # A serial run should not pay for importing multiprocessing.
-    import restaking
-
-    src = str(Path(restaking.__file__).resolve().parents[1])
-    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    code = "import sys, restaking.cli; print('concurrent.futures.process' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"

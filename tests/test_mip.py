@@ -26,6 +26,7 @@ from restaking.model import (
     apply_byzantine,
     byzantine_choices,
     byzantine_subsets,
+    evaluate_attack,
     generalized_eigenlayer_condition,
     service_weight,
     total_byzantine_weight,
@@ -376,15 +377,15 @@ class TestSolveMip:
 
 class TestMipCheck:
     def test_robust_report(self, fig_atomic):
-        report = mip_check(fig_atomic, 14, 0)
-        assert report.robust
+        assert mip_check(fig_atomic, 14, 0) is None
 
     def test_witness_attack(self, half_allocated):
-        report = mip_check(half_allocated, 0, 0)
-        assert not report.robust
-        assert report.attacked == ("s",)
-        assert report.cost == pytest.approx(1, abs=1e-6)
-        assert report.prize == pytest.approx(1, abs=1e-6)
+        byzantine, attack = mip_check(half_allocated, 0, 0)
+        assert byzantine == ()
+        ev = evaluate_attack(half_allocated, attack)
+        assert ev.attacked_services == {"s"}
+        assert ev.total_cost == pytest.approx(1, abs=1e-6)
+        assert ev.total_prize == pytest.approx(1, abs=1e-6)
 
 
 class TestCertificate:

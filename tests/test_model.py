@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from restaking.bruteforce import best_attack
 from restaking.model import (
     Attack,
+    AttackEvaluation,
     InputError,
     Network,
     apply_byzantine,
@@ -18,11 +20,9 @@ from restaking.model import (
     evaluate_attack,
     generalized_eigenlayer_condition,
     is_beta_costly,
-    is_profitable,
     prize_shares,
     restaking_degree,
     robustness_utility,
-    security_utility,
     service_weight,
 )
 
@@ -100,7 +100,7 @@ class TestEvaluateAttack:
     def test_half_allocated_profitable(self, half_allocated):
         ev = evaluate_attack(half_allocated, Attack(stake_used={("v", "s"): 1}))
         assert ev.total_cost == 1 and ev.total_prize == 1
-        assert is_profitable(ev)
+        assert is_beta_costly(ev, 0)
 
     def test_stake_aimed_at_unattacked_service_is_free(self):
         # Two services; aiming below threshold at s2 must not be charged.
@@ -154,15 +154,15 @@ class TestPrizeShares:
 
 class TestUtilities:
     def test_zero_attack_zero_utility(self, fig_atomic):
-        assert security_utility(fig_atomic, Attack(stake_used={}), "v1") == 0
+        assert robustness_utility(fig_atomic, Attack(stake_used={}), "v1", 0) == 0
 
     def test_breakeven_attack(self, half_allocated):
         attack = Attack(stake_used={("v", "s"): 1})
-        assert security_utility(half_allocated, attack, "v") == 0
+        assert robustness_utility(half_allocated, attack, "v", 0) == 0
 
     def test_lone_attacker_loss(self, fig_atomic):
         attack = Attack(stake_used={("v1", "s"): 20})
-        assert security_utility(fig_atomic, attack, "v1") == -15
+        assert robustness_utility(fig_atomic, attack, "v1", 0) == -15
 
     def test_budget_reimburses_losses(self, fig_atomic):
         attack = Attack(stake_used={("v1", "s"): 20})
@@ -172,9 +172,21 @@ class TestUtilities:
         attack = Attack(stake_used={("v1", "s"): 1})
         assert robustness_utility(fig_atomic, attack, "v1", 100) == 0  # cost is 0
 
-    def test_budget_zero_reduces_to_security_game(self, fig_atomic):
-        attack = Attack(stake_used={("v1", "s"): 20})
-        assert robustness_utility(fig_atomic, attack, "v1", 0) == -15
+    def test_budget_zero_reduces_to_security_game(self):
+        # The security game pays each validator its share of the prize minus
+        # its cost, whether or not anything is attacked.
+        rng = random.Random(62)
+        for _ in range(50):
+            net = random_network(rng)
+            attack = Attack(stake_used={
+                (v, s): rng.choice([0, rng.uniform(0, net.w(v, s)), net.w(v, s)])
+                for v in net.validators for s in net.services
+            })
+            ev = evaluate_attack(net, attack)
+            shares = prize_shares(net, ev).share
+            for v in net.validators:
+                game = shares[v] * ev.total_prize - ev.validator_cost[v]
+                assert robustness_utility(net, attack, v, 0) == game
 
     def test_negative_budget_rejected(self, fig_atomic):
         with pytest.raises(InputError):
@@ -182,25 +194,33 @@ class TestUtilities:
 
 
 class TestProfitability:
-    def test_breakeven_is_profitable(self, half_allocated):
+    def test_breakeven_pays_at_budget_zero(self, half_allocated):
         ev = evaluate_attack(half_allocated, Attack(stake_used={("v", "s"): 1}))
-        assert is_profitable(ev)
+        assert is_beta_costly(ev, 0)
 
     def test_empty_attacked_set_is_not(self, fig_atomic):
-        assert not is_profitable(evaluate_attack(fig_atomic, Attack(stake_used={})))
+        assert not is_beta_costly(evaluate_attack(fig_atomic, Attack(stake_used={})), 0)
 
     def test_costly_attack_is_not_profitable(self, fig_atomic):
         ev = evaluate_attack(fig_atomic, Attack(stake_used={("v1", "s"): 20}))
-        assert not is_profitable(ev)
+        assert not is_beta_costly(ev, 0)
 
     def test_beta_costly_boundary(self, fig_atomic):
         ev = evaluate_attack(fig_atomic, Attack(stake_used={("v1", "s"): 20}))
         assert is_beta_costly(ev, 15)
         assert not is_beta_costly(ev, 14.999)
 
-    def test_budget_zero_coincides_with_profitable(self, half_allocated):
-        ev = evaluate_attack(half_allocated, Attack(stake_used={("v", "s"): 1}))
-        assert is_beta_costly(ev, 0) == is_profitable(ev)
+    def test_budget_zero_coincides_with_profitable(self):
+        # Budget 0 asks whether the attack pays: something is attacked and
+        # the prize covers the cost, float ties within 1e-9 to the attacker.
+        def ev(cost, prize, attacked=frozenset({"s"})):
+            return AttackEvaluation(attacked, {}, cost, prize, prize - cost)
+
+        assert is_beta_costly(ev(1.0 + 1e-10, 1.0), 0)
+        assert not is_beta_costly(ev(1.0 + 1e-8, 1.0), 0)
+        assert not is_beta_costly(ev(0, 1, frozenset()), 0)
+        assert is_beta_costly(ev(Fraction(1), Fraction(1)), 0)
+        assert not is_beta_costly(ev(1 + Fraction(1, 10**12), Fraction(1)), 0)
 
 
 class TestApplyByzantine:

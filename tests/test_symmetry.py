@@ -13,6 +13,7 @@ from restaking.bruteforce import best_attack, min_budget_bruteforce, min_cost_at
 from restaking.experiments import min_stake_mip
 from restaking.model import (
     Attack,
+    InputError,
     Network,
     _le,
     apply_byzantine,
@@ -27,7 +28,6 @@ from restaking.symmetry import (
     consolidated_attack,
     consolidated_cost,
     find_beta_costly,
-    is_f_beta_robust,
     max_budget,
     min_stake_for,
     to_network,
@@ -117,6 +117,17 @@ class TestAsSymmetric:
             as_symmetric(net)
         assert err.value.condition == "threshold"
 
+    def test_non_finite_stake_or_prize_rejected(self):
+        for stake, prize in ((math.inf, 1.0), (2.0, math.inf), (2.0, math.nan)):
+            with pytest.raises(InputError, match="finite"):
+                SymmetricNetwork(
+                    n_validators=2,
+                    stake=stake,
+                    allocation={"s": 1.0},
+                    threshold=0.5,
+                    prize={"s": prize},
+                )
+
     def test_fifteen_by_fifteen(self):
         sym = uniform_symmetric(15, 15, 7.4, 1.0, 1 / 3)
         back = as_symmetric(to_network(sym))
@@ -174,11 +185,12 @@ class TestSecurity:
     def test_integer_threshold_boundary(self):
         secure = uniform_symmetric(10, 10, 2.0000001, 3.0, 0.5)
         insecure = uniform_symmetric(10, 10, 2.0, 3.0, 0.5)
-        assert is_f_beta_robust(secure, 0, weight_cap=0)
-        assert not is_f_beta_robust(insecure, 0, weight_cap=0)
+        assert find_beta_costly(secure, 0, weight_cap=0) is None
+        assert find_beta_costly(insecure, 0, weight_cap=0) is not None
 
     def test_degenerate_single_validator(self, half_allocated):
-        assert not is_f_beta_robust(as_symmetric(half_allocated), 0, weight_cap=0)
+        sym = as_symmetric(half_allocated)
+        assert find_beta_costly(sym, 0, weight_cap=0) is not None
 
     def test_zero_allocation_service_breaks_security(self):
         sym = SymmetricNetwork(
@@ -188,14 +200,14 @@ class TestSecurity:
             threshold=0.5,
             prize={"a": 1, "b": 1},
         )
-        assert not is_f_beta_robust(sym, 0, weight_cap=0)
+        assert find_beta_costly(sym, 0, weight_cap=0) is not None
 
 
 class TestBetaRobust:
     def test_boundary(self, fig_atomic):
         sym = as_symmetric(fig_atomic)
-        assert is_f_beta_robust(sym, 14.999, weight_cap=0)
-        assert not is_f_beta_robust(sym, 15, weight_cap=0)
+        assert find_beta_costly(sym, 14.999, weight_cap=0) is None
+        assert find_beta_costly(sym, 15, weight_cap=0) is not None
 
     def test_base_service_inequality(self):
         # One fully-allocated service with threshold 1/3 and prize 10 over
@@ -213,7 +225,7 @@ class TestBetaRobust:
                 threshold=1 / 3,
                 prize={"base": 10},
             )
-            assert is_f_beta_robust(sym, budget, weight_cap=0) == expected
+            assert (find_beta_costly(sym, budget, weight_cap=0) is None) == expected
 
 
 class TestFBetaRobust:
@@ -230,7 +242,7 @@ class TestFBetaRobust:
                 for size in range(1, len(sym.services) + 1)
                 for target in combinations(sym.services, size)
             )
-            assert is_f_beta_robust(sym, budget, weight_cap=0) == expected
+            assert (find_beta_costly(sym, budget, weight_cap=0) is None) == expected
 
     def test_f_one_identical_services_vacuous(self):
         # Robust at every partial Byzantine count, and the full count leaves
@@ -242,7 +254,7 @@ class TestFBetaRobust:
             threshold=1,
             prize={"a": 1, "b": 1},
         )
-        assert is_f_beta_robust(sym, 0, weight_cap=cap_of(sym, 1))
+        assert find_beta_costly(sym, 0, weight_cap=cap_of(sym, 1)) is None
 
     def test_combined_network_beats_separated_deployments(self):
         # At budget 2 and a third of the services Byzantine, the combined
@@ -254,25 +266,42 @@ class TestFBetaRobust:
         )
         best_degree = 45 / 37
         cap = byzantine_weight_cap(combined.build_network(1.0, best_degree), 1 / 3)
-        assert is_f_beta_robust(combined.build(7.4001, best_degree), 2, weight_cap=cap)
-        assert not is_f_beta_robust(
-            combined.build(7.3999, best_degree), 2, weight_cap=cap
-        )
+        at = lambda stake: combined.build(stake, best_degree)
+        assert find_beta_costly(at(7.4001), 2, weight_cap=cap) is None
+        assert find_beta_costly(at(7.3999), 2, weight_cap=cap) is not None
 
     def test_witness_matches_decision(self):
+        # Stakes and prizes at scales up to 1e12: a consolidated attack hits
+        # its target, a witness attacks something and clears the budget up to
+        # the tolerance at the network's own scale, and the verdict is the
+        # one max_budget reaches.
         rng = random.Random(52)
-        for _ in range(30):
-            sym = random_symmetric(rng, max_validators=4, max_services=3)
-            f = rng.choice([0, 0.25, 0.5, 1.0])
-            budget = rng.uniform(0, 1)
-            cap = cap_of(sym, f)
-            violation = find_beta_costly(sym, budget, weight_cap=cap)
-            assert (violation is None) == is_f_beta_robust(sym, budget, weight_cap=cap)
-            if violation is not None:
-                slashed = apply_byzantine(to_network(sym), violation.byzantine)
-                ev = evaluate_attack(slashed, violation.attack)
-                assert ev.total_cost <= ev.total_prize + budget + 1e-9
-                assert set(violation.target) <= set(ev.attacked_services)
+        for _ in range(300):
+            n, m = rng.randint(1, 6), rng.randint(1, 3)
+            scale = 10 ** rng.uniform(0, 12)
+            stake = scale * rng.uniform(0.5, 4.0)
+            sym = SymmetricNetwork(
+                n_validators=n,
+                stake=stake,
+                allocation={f"s{j}": rng.uniform(0.0, stake) for j in range(m)},
+                threshold=rng.uniform(0.0, 1.0),
+                prize={f"s{j}": scale * rng.uniform(0.2, 2.0) for j in range(m)},
+            )
+            target = rng.sample(sym.services, rng.randint(1, m))
+            hit = evaluate_attack(to_network(sym), consolidated_attack(sym, target))
+            assert set(target) <= hit.attacked_services
+            cap = cap_of(sym, rng.choice([0, 0.25, 0.5, 1.0]))
+            budget = rng.uniform(0, 1) * scale
+            tol = 1e-9 * max(stake, *sym.prize.values())
+            witness = find_beta_costly(sym, budget, weight_cap=cap)
+            if witness is None:
+                assert max_budget(sym, weight_cap=cap) > budget - tol
+                continue
+            assert max_budget(sym, weight_cap=cap) <= budget + tol
+            byzantine, attack = witness
+            ev = evaluate_attack(apply_byzantine(to_network(sym), byzantine), attack)
+            assert ev.attacked_services
+            assert ev.margin >= -budget - tol
 
 
 class TestMinStake:
@@ -297,8 +326,8 @@ class TestMinStake:
         for degree in (1.0, 2.5, 7.0):
             result = min_stake_for(template, degree, budget=0.5, f=0)
             below, above = (template.build(result + d, degree) for d in (-1e-5, 1e-5))
-            assert not is_f_beta_robust(below, 0.5, weight_cap=0)
-            assert is_f_beta_robust(above, 0.5, weight_cap=0)
+            assert find_beta_costly(below, 0.5, weight_cap=0) is not None
+            assert find_beta_costly(above, 0.5, weight_cap=0) is None
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -321,8 +350,8 @@ class TestMinStake:
             return
         cap = byzantine_weight_cap(template(1).build_network(1.0, degree), f)
         at = lambda s: template(1).build(s, degree)
-        assert not is_f_beta_robust(at(stake), budget, weight_cap=cap)
-        assert is_f_beta_robust(at(stake * (1 + 1e-6)), budget, weight_cap=cap)
+        assert find_beta_costly(at(stake), budget, weight_cap=cap) is not None
+        assert find_beta_costly(at(stake * (1 + 1e-6)), budget, weight_cap=cap) is None
         assert scaled == pytest.approx(3 * stake, rel=1e-9)
         assert by_mip == pytest.approx(stake, rel=1e-9)
 
@@ -419,7 +448,7 @@ class TestProperties:
             sym = random_symmetric(rng, max_validators=4, max_services=3)
             net = to_network(sym)
             margin, _ = best_attack(net)
-            assert is_f_beta_robust(sym, 0, weight_cap=0) == (margin < 0)
+            assert (find_beta_costly(sym, 0, weight_cap=0) is None) == (margin < 0)
             assert max_budget(sym, weight_cap=0) == pytest.approx(
                 min_budget_bruteforce(net), abs=1e-7
             )
@@ -441,7 +470,7 @@ class TestProperties:
                     robust.append(False)
                     continue
                 robust.append(
-                    is_f_beta_robust(as_symmetric(slashed), budget, weight_cap=0)
+                    find_beta_costly(as_symmetric(slashed), budget, weight_cap=0) is None
                 )
             for k in range(len(robust) - 1):
                 assert not robust[k + 1] or robust[k], (robust, k)
