@@ -32,7 +32,6 @@ from .bruteforce import best_attack
 from .files import load_json, load_network, load_reward_pools
 from .incentives import best_response, equilibrium_allocations
 from .model import (
-    Attack,
     InputError,
     Network,
     apply_byzantine,
@@ -42,7 +41,7 @@ from .model import (
     restaking_degree,
     total_byzantine_weight,
 )
-from .symmetry import NotSymmetricError, as_symmetric, find_beta_costly
+from .symmetry import NotSymmetricError, find_beta_costly
 
 _ORACLE_LIMIT = 8  # exhaustive search stays tractable up to this many of each
 _MIP_LIMIT = 40  # binaries in the budget program at desk scale
@@ -82,18 +81,6 @@ def _print_witness(net: Network, engine: str, witness: tuple) -> None:
     )
 
 
-def _symmetric_engine(net: Network, budget, cap) -> tuple | None:
-    witness = find_beta_costly(as_symmetric(net), budget, weight_cap=cap)
-    if witness is None:
-        return None
-    byzantine, attack = witness
-    # The closed form names validators v1..vn; map them onto the file's ids.
-    ids = {f"v{i + 1}": v for i, v in enumerate(net.validators)}
-    return byzantine, Attack(stake_used={
-        (ids[v], s): a for (v, s), a in attack.stake_used.items()
-    })
-
-
 def _oracle_engine(net: Network, budget, cap) -> tuple | None:
     for subset, slashed in byzantine_choices(net, cap):
         margin, attack = best_attack(slashed)
@@ -107,7 +94,7 @@ def _oracle_engine(net: Network, budget, cap) -> tuple | None:
 #: network is robust against ``budget`` after any Byzantine choice of weight
 #: at most ``cap``.
 _ENGINES = {
-    "symmetric": _symmetric_engine,
+    "symmetric": find_beta_costly,
     # Looked up on the module at each call, so that a wrapper installed on
     # mip.mip_check sees the checks made here.
     "mip": lambda net, budget, cap: mipmod.mip_check(net, budget, cap),
@@ -115,14 +102,10 @@ _ENGINES = {
 }
 
 
-def _engine_names(net: Network, force_mip: bool, oracle: bool) -> list[str]:
-    """Engines to run: closed form if symmetric, MIP if forced or not, oracle on request."""
-    try:
-        as_symmetric(net)
-        names = ["symmetric"]
-    except NotSymmetricError:
-        names = []
-    if force_mip or not names:
+def _engine_names(net: Network, mip: bool, oracle: bool) -> list[str]:
+    """Engines to run after the closed form: the MIP if asked, the oracle on request."""
+    names = []
+    if mip:
         n_bin = len(net.validators) + len(net.services)
         if n_bin > _MIP_LIMIT:
             raise InputError(
@@ -169,8 +152,12 @@ def cmd_check(args) -> int:
         )
         print(f"wrote MIP dump to {args.dump_mip}")
 
-    names = _engine_names(net, args.mip, args.oracle)
-    witnesses = {name: _ENGINES[name](net, budget, cap) for name in names}
+    try:
+        witnesses = {"symmetric": _ENGINES["symmetric"](net, budget, cap)}
+    except NotSymmetricError:
+        witnesses = {}
+    for name in _engine_names(net, args.mip or not witnesses, args.oracle):
+        witnesses[name] = _ENGINES[name](net, budget, cap)
     answers = {w is None for w in witnesses.values()}
     if len(answers) > 1:
         print("engine discrepancy:")
@@ -186,12 +173,13 @@ def cmd_check(args) -> int:
         if budget == 0 and fraction == 0
         else f"(f={_fmt(fraction)}, budget={_fmt(budget)})-robust"
     )
-    engines = ", ".join(names)
+    engines = ", ".join(witnesses)
     if answers.pop():
         print(f"verdict: {what} (engines: {engines})")
         return 0
     print(f"verdict: NOT {what} (engines: {engines})")
-    _print_witness(net, names[0], witnesses[names[0]])
+    name, witness = next(iter(witnesses.items()))
+    _print_witness(net, name, witness)
     return 1
 
 

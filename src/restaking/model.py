@@ -270,11 +270,12 @@ def evaluate_attack(net: Network, a: Attack) -> AttackEvaluation:
     """
     attacked = attacked_services(net, a)
     costs = {}
+    in_order = [s for s in net.services if s in attacked]  # not hash order
     for v in net.validators:
-        used = sum(a.used(v, s) for s in attacked)
+        used = sum(a.used(v, s) for s in in_order)
         costs[v] = min(net.stake[v], used)
     total_cost = sum(costs.values())
-    total_prize = sum(net.prize[s] for s in attacked)
+    total_prize = sum(net.prize[s] for s in in_order)
     return AttackEvaluation(
         attacked_services=attacked,
         validator_cost=costs,
@@ -378,9 +379,10 @@ def apply_byzantine(net: Network, byz: Iterable[str]) -> Network:
             f"base services cannot be Byzantine: {sorted(forbidden)}"
         )
     remaining = tuple(s for s in net.services if s not in byz)
+    gone = [s for s in net.services if s in byz]  # not hash order
     new_stake = {}
     for v in net.validators:
-        slashed = sum(net.w(v, s) for s in byz)
+        slashed = sum(net.w(v, s) for s in gone)
         new_stake[v] = max(0, net.stake[v] - slashed)
     new_alloc = {
         (v, s): min(w, new_stake[v])

@@ -11,11 +11,13 @@ the enumeration is polynomial per class. Byzantine choices come from the
 class-count generator in :mod:`restaking.model` that every engine shares,
 one per count vector, and one generator here pairs each of them with every
 consolidated attack after it; :func:`find_beta_costly`, :func:`max_budget`
-and :func:`min_stake_for` reduce it by first, min and max. A violation is
-reported as every engine reports it, ``(Byzantine services, attack)``, the
-attack built by :func:`restaking.model.capped_attack` with the first
-floor(threshold * n) validators capped. Byzantine weight caps are absolute,
-as everywhere in the package (see :func:`restaking.model.byzantine_weight_cap`).
+and :func:`min_stake_for` reduce it by first, min and max. Like the other
+engines, :func:`find_beta_costly` decides the caller's network and reports a
+violation as ``(Byzantine services, attack)``, the attack built on that
+network, with its validator ids and stakes, by
+:func:`restaking.model.capped_attack` with the first floor(threshold * n)
+validators capped. Byzantine weight caps are absolute, as everywhere in the
+package (see :func:`restaking.model.byzantine_weight_cap`).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .model import (
     _class_choices,
     _exact,
     _le,
+    apply_byzantine,
     byzantine_weight_cap,
     capped_attack,
 )
@@ -43,7 +46,6 @@ __all__ = [
     "as_symmetric",
     "to_network",
     "consolidated_cost",
-    "consolidated_attack",
     "find_beta_costly",
     "max_budget",
     "SweepTemplate",
@@ -189,23 +191,6 @@ def consolidated_cost(sym: SymmetricNetwork, target: Iterable[str]):
     return k * min(sym.stake, w_total) + min(sym.stake, frac * w_total)
 
 
-def consolidated_attack(sym: SymmetricNetwork, target: Iterable[str]) -> Attack:
-    """The consolidated attack hitting the target services.
-
-    Expressed against :func:`to_network` validator ids: validators v1..vk pay
-    their whole stake and the rest fill what each service still needs, so
-    v(k+1) commits the fractional remainder (see
-    :func:`restaking.model.capped_attack`).
-    """
-    target = tuple(target)
-    unknown = set(target) - set(sym.services)
-    if unknown:
-        raise InputError(f"unknown services: {sorted(unknown)}")
-    net = to_network(sym)
-    k, _ = _threshold_split(sym)
-    return capped_attack(net, target, net.validators[:k])
-
-
 def _classes(sym: SymmetricNetwork) -> list[tuple[tuple, list[str]]]:
     """Group services by (allocation, prize); counts fully determine attacks."""
     groups: dict[tuple, list[str]] = {}
@@ -247,13 +232,13 @@ def _slash(sym: SymmetricNetwork, byz: dict, names: tuple) -> SymmetricNetwork |
 def _consolidated_attacks(sym: SymmetricNetwork, weight_cap) -> Iterator[tuple]:
     """Every admissible Byzantine choice with every consolidated attack after it.
 
-    Yields ``(byz, slashed, classes, counts, cost, prize)``: ``byz`` names
-    the Byzantine services of one choice per count vector over (allocation,
-    prize) classes within ``weight_cap``, ``slashed`` is the network slashing
-    leaves, and ``counts`` picks the attacked services per class of
-    ``classes = _classes(slashed)``; ``cost`` is the consolidated attack's
-    cost and ``prize`` its prize. A choice that removes every service leaves
-    nothing to attack and yields nothing.
+    Yields ``(byz, classes, counts, cost, prize)``: ``byz`` names the
+    Byzantine services of one choice per count vector over (allocation,
+    prize) classes within ``weight_cap``, and ``counts`` picks the attacked
+    services per class of ``classes``, the classes of the network slashing
+    leaves; ``cost`` is the consolidated attack's cost and ``prize`` its
+    prize. A choice that removes every service leaves nothing to attack and
+    yields nothing.
     """
     eligible = [s for s in sym.services if s not in sym.base_services]
     key = lambda s: (sym.allocation[s], sym.prize[s])
@@ -275,30 +260,33 @@ def _consolidated_attacks(sym: SymmetricNetwork, weight_cap) -> Iterator[tuple]:
         ):
             w_total = sum(ws)
             cost = k * min(stake, w_total) + min(stake, frac * w_total)
-            yield byz, slashed, classes, vector, cost, sum(ps)
+            yield byz, classes, vector, cost, sum(ps)
 
 
 def find_beta_costly(
-    sym: SymmetricNetwork, budget, weight_cap
+    net: Network, budget, weight_cap
 ) -> tuple[tuple[str, ...], Attack] | None:
     """The first violation of (weight cap, budget)-robustness, or None.
 
-    Every Byzantine choice of total weight at most ``weight_cap`` is applied,
-    and the network is robust when every consolidated attack on what
-    slashing leaves costs strictly more than its prize plus the budget; a
-    choice that removes every service is vacuously fine. A violation is
-    ``(Byzantine services, consolidated attack)``, both picked
-    deterministically from their equivalence classes in service order; the
-    attack is expressed against :func:`to_network` validator ids.
+    ``net`` must pass :func:`as_symmetric`. Every Byzantine choice of total
+    weight at most ``weight_cap`` is applied, and the network is robust when
+    every consolidated attack on what slashing leaves costs strictly more
+    than its prize plus the budget; a choice that removes every service is
+    vacuously fine. A violation is ``(Byzantine services, consolidated
+    attack)``, both picked deterministically from their equivalence classes
+    in service order; the attack is built on ``net`` after slashing, so it
+    names the caller's validators and fits their stakes.
     """
     if budget < 0:
         raise InputError("budget must be non-negative")
-    for byz, slashed, classes, counts, cost, prize in _consolidated_attacks(
-        sym, weight_cap
-    ):
+    sym = as_symmetric(net)
+    # threshold * n, and with it the capped count, is the same after slashing.
+    k, _ = _threshold_split(sym)
+    for byz, classes, counts, cost, prize in _consolidated_attacks(sym, weight_cap):
         if _le(cost, prize + budget):
             target = [s for c, (_, ids) in zip(counts, classes) for s in ids[:c]]
-            return byz, consolidated_attack(slashed, target)
+            slashed = apply_byzantine(net, byz)
+            return byz, capped_attack(slashed, target, net.validators[:k])
     return None
 
 

@@ -40,7 +40,7 @@ from restaking.symmetry import (
     SweepTemplate,
     SymmetricNetwork,
     as_symmetric,
-    consolidated_attack,
+    consolidated_cost,
     find_beta_costly,
     max_budget,
     min_stake_for,
@@ -78,8 +78,8 @@ def test_criterion_1_atomic_boundary(fig_atomic):
         assert min_budget_bruteforce(fig_atomic) == pytest.approx(15.0, abs=1e-6)
         sym = as_symmetric(fig_atomic)
         assert max_budget(sym, weight_cap=0) == pytest.approx(15.0, abs=1e-6)
-        assert find_beta_costly(sym, 14.999999, weight_cap=0) is None
-        assert find_beta_costly(sym, 15.0, weight_cap=0) is not None
+        assert find_beta_costly(fig_atomic, 14.999999, weight_cap=0) is None
+        assert find_beta_costly(fig_atomic, 15.0, weight_cap=0) is not None
 
 
 def test_criterion_2_integer_threshold_flat_line():
@@ -224,10 +224,8 @@ def test_criterion_8_consolidation_dominance():
                 ev = evaluate_attack(net, attack)
                 if not ev.attacked_services:
                     continue
-                target = tuple(sorted(ev.attacked_services))
-                cons = evaluate_attack(net, consolidated_attack(sym, target))
-                assert cons.total_cost <= ev.total_cost + 1e-9
-                assert cons.total_prize >= ev.total_prize - 1e-9
+                target = sorted(ev.attacked_services)
+                assert consolidated_cost(sym, target) <= ev.total_cost + 1e-9
 
 
 def test_criterion_9_incentive_equilibrium():

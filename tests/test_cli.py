@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -179,6 +183,70 @@ class TestCheck:
         assert "witness (symmetric):" in out
         assert "  alice: s=20.000000 (cost 20.000000)" in out
         assert "v1" not in out
+
+    def test_near_symmetric_witness_fits_each_stake(self, tmp_path, capsys):
+        # The stakes differ by 5e-13 of their size, within as_symmetric's
+        # tolerance; the witness takes v2's own stake, not v1's.
+        stakes = {"v1": 1e10, "v2": 9999999999.995}
+        payload = {
+            "validators": [{"id": v, "stake": x} for v, x in stakes.items()],
+            "services": [{"id": "a", "threshold": 1, "prize": 3e10}],
+            "allocations": [{"validator": v, "service": "a", "amount": x}
+                            for v, x in stakes.items()],
+        }
+        path = write(tmp_path, "net.json", payload)
+        for flags in ([], ["--mip"]):
+            assert main(["check", path, *flags]) == 1, flags
+            out = capsys.readouterr().out
+            assert "  v2: a=9999999999.995001 (cost 9999999999.995001)\n" in out
+
+    def test_near_symmetric_files_never_exit_2(self, tmp_path, capsys):
+        # Files within as_symmetric's 1e-12 tolerance of symmetric, at scales
+        # up to 1e12: every check reaches a verdict and prints its witness.
+        rng = random.Random(16)
+        for i in range(100):
+            n, m = rng.randint(1, 5), rng.randint(1, 3)
+            scale = 10 ** rng.uniform(0, 12)
+            stake = scale * rng.uniform(0.5, 4.0)
+            noisy = lambda x: x * (1 + rng.uniform(-5e-13, 5e-13))
+            stakes = {f"x{k}": noisy(stake) for k in range(n)}
+            shares = {f"s{j}": rng.choice([1.0, rng.uniform(0.0, 1.0)]) for j in range(m)}
+            theta = rng.uniform(0.0, 1.0)
+            payload = {
+                "validators": [{"id": v, "stake": x} for v, x in stakes.items()],
+                "services": [{"id": s, "threshold": theta,
+                              "prize": scale * rng.uniform(0.2, 2.0)} for s in shares],
+                "allocations": [
+                    {"validator": v, "service": s, "amount": min(x, noisy(share * stake))}
+                    for v, x in stakes.items() for s, share in shares.items() if share > 0
+                ],
+            }
+            path = write(tmp_path, f"net{i}.json", payload)
+            budget = repr(rng.uniform(0, 1) * scale)
+            for flags in ([], ["--mip"], ["--budget", budget, "--fraction", "0.5"]):
+                assert main(["check", path, *flags]) in (0, 1), (i, flags)
+                capsys.readouterr()
+
+    def test_output_does_not_depend_on_string_hashing(self, tmp_path):
+        # Sums over a set of services ran in its hash order, which moved the
+        # printed prize in the last digits from one interpreter to the next.
+        prizes = {"a": 232559728963.46652, "b": 363654855352.7207,
+                  "c": 979139225486.8947}
+        payload = {
+            "validators": [{"id": "v", "stake": 1}],
+            "services": [{"id": s, "threshold": 0.5, "prize": p} for s, p in prizes.items()],
+            "allocations": [],
+        }
+        path = write(tmp_path, "net.json", payload)
+        src = str(Path(__file__).parents[1] / "src")
+        expected = f"prize {sum(prizes.values()):.6f}"
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=pythonpath)
+            run = subprocess.run([sys.executable, "-m", "restaking.cli", "check", path],
+                                 env=env, capture_output=True, text=True)
+            assert run.returncode == 1, run.stderr
+            assert expected in run.stdout, (seed, run.stdout)
 
     def test_weight_cap_is_not_round_tripped(self, tmp_path, capsys):
         # The cap equals s1's weight (prize / threshold) exactly; as a

@@ -18,6 +18,7 @@ from restaking.model import (
     _le,
     apply_byzantine,
     byzantine_weight_cap,
+    capped_attack,
     evaluate_attack,
 )
 from restaking.symmetry import (
@@ -25,7 +26,6 @@ from restaking.symmetry import (
     SweepTemplate,
     SymmetricNetwork,
     as_symmetric,
-    consolidated_attack,
     consolidated_cost,
     find_beta_costly,
     max_budget,
@@ -55,6 +55,15 @@ def uniform_symmetric(n, m, stake, degree, threshold, prize=1.0, base=None):
 def cap_of(sym, f):
     """The absolute Byzantine weight cap of fraction f."""
     return byzantine_weight_cap(to_network(sym), f)
+
+
+def first_witness(net):
+    """The attack of the witness at a budget above every cost: the
+    consolidated attack on the first target, with no service Byzantine. On
+    identical services that target is the first service alone."""
+    byzantine, attack = find_beta_costly(net, 1e6, weight_cap=0)
+    assert byzantine == ()
+    return attack
 
 
 def random_symmetric(rng, max_validators=6, max_services=4):
@@ -148,22 +157,20 @@ class TestConsolidated:
         assert consolidated_cost(sym, sym.services) == pytest.approx(10.0)
 
     def test_attack_matches_cost_and_target(self, fig_atomic):
-        sym = as_symmetric(fig_atomic)
-        attack = consolidated_attack(sym, ("s",))
+        attack = first_witness(fig_atomic)
         assert attack.stake_used == {("v1", "s"): 20}
-        ev = evaluate_attack(to_network(sym), attack)
-        assert ev.total_cost == consolidated_cost(sym, ("s",))
+        ev = evaluate_attack(fig_atomic, attack)
+        assert ev.total_cost == consolidated_cost(as_symmetric(fig_atomic), ("s",))
         assert "s" in ev.attacked_services
 
     def test_integer_threshold_has_no_fractional_validator(self):
-        sym = uniform_symmetric(4, 4, 2.0, 2.0, 0.5)
-        attack = consolidated_attack(sym, ("s0",))
+        attack = first_witness(to_network(uniform_symmetric(4, 4, 2.0, 2.0, 0.5)))
         users = {v for (v, _) in attack.stake_used}
         assert users == {"v1", "v2"}
 
     def test_fractional_validator_share(self):
         sym = uniform_symmetric(10, 10, 3.0, 10.0, 1 / 3)
-        attack = consolidated_attack(sym, ("s0",))
+        attack = first_witness(to_network(sym))
         w = sym.allocation["s0"]
         assert attack.used("v1", "s0") == w
         assert attack.used("v3", "s0") == w
@@ -183,14 +190,13 @@ class TestConsolidated:
 
 class TestSecurity:
     def test_integer_threshold_boundary(self):
-        secure = uniform_symmetric(10, 10, 2.0000001, 3.0, 0.5)
-        insecure = uniform_symmetric(10, 10, 2.0, 3.0, 0.5)
+        secure = to_network(uniform_symmetric(10, 10, 2.0000001, 3.0, 0.5))
+        insecure = to_network(uniform_symmetric(10, 10, 2.0, 3.0, 0.5))
         assert find_beta_costly(secure, 0, weight_cap=0) is None
         assert find_beta_costly(insecure, 0, weight_cap=0) is not None
 
     def test_degenerate_single_validator(self, half_allocated):
-        sym = as_symmetric(half_allocated)
-        assert find_beta_costly(sym, 0, weight_cap=0) is not None
+        assert find_beta_costly(half_allocated, 0, weight_cap=0) is not None
 
     def test_zero_allocation_service_breaks_security(self):
         sym = SymmetricNetwork(
@@ -200,14 +206,13 @@ class TestSecurity:
             threshold=0.5,
             prize={"a": 1, "b": 1},
         )
-        assert find_beta_costly(sym, 0, weight_cap=0) is not None
+        assert find_beta_costly(to_network(sym), 0, weight_cap=0) is not None
 
 
 class TestBetaRobust:
     def test_boundary(self, fig_atomic):
-        sym = as_symmetric(fig_atomic)
-        assert find_beta_costly(sym, 14.999, weight_cap=0) is None
-        assert find_beta_costly(sym, 15, weight_cap=0) is not None
+        assert find_beta_costly(fig_atomic, 14.999, weight_cap=0) is None
+        assert find_beta_costly(fig_atomic, 15, weight_cap=0) is not None
 
     def test_base_service_inequality(self):
         # One fully-allocated service with threshold 1/3 and prize 10 over
@@ -225,7 +230,7 @@ class TestBetaRobust:
                 threshold=1 / 3,
                 prize={"base": 10},
             )
-            assert (find_beta_costly(sym, budget, weight_cap=0) is None) == expected
+            assert (find_beta_costly(to_network(sym), budget, weight_cap=0) is None) == expected
 
 
 class TestFBetaRobust:
@@ -242,7 +247,7 @@ class TestFBetaRobust:
                 for size in range(1, len(sym.services) + 1)
                 for target in combinations(sym.services, size)
             )
-            assert (find_beta_costly(sym, budget, weight_cap=0) is None) == expected
+            assert (find_beta_costly(to_network(sym), budget, weight_cap=0) is None) == expected
 
     def test_f_one_identical_services_vacuous(self):
         # Robust at every partial Byzantine count, and the full count leaves
@@ -254,7 +259,7 @@ class TestFBetaRobust:
             threshold=1,
             prize={"a": 1, "b": 1},
         )
-        assert find_beta_costly(sym, 0, weight_cap=cap_of(sym, 1)) is None
+        assert find_beta_costly(to_network(sym), 0, weight_cap=cap_of(sym, 1)) is None
 
     def test_combined_network_beats_separated_deployments(self):
         # At budget 2 and a third of the services Byzantine, the combined
@@ -266,15 +271,16 @@ class TestFBetaRobust:
         )
         best_degree = 45 / 37
         cap = byzantine_weight_cap(combined.build_network(1.0, best_degree), 1 / 3)
-        at = lambda stake: combined.build(stake, best_degree)
+        at = lambda stake: combined.build_network(stake, best_degree)
         assert find_beta_costly(at(7.4001), 2, weight_cap=cap) is None
         assert find_beta_costly(at(7.3999), 2, weight_cap=cap) is not None
 
     def test_witness_matches_decision(self):
-        # Stakes and prizes at scales up to 1e12: a consolidated attack hits
-        # its target, a witness attacks something and clears the budget up to
-        # the tolerance at the network's own scale, and the verdict is the
-        # one max_budget reaches.
+        # Stakes and prizes at scales up to 1e12: capped_attack, which builds
+        # every witness, hits a whole random target whichever prefix of the
+        # validators is capped; a witness fits the network's allocations,
+        # attacks something and clears the budget up to the tolerance at the
+        # network's own scale, and the verdict is the one max_budget reaches.
         rng = random.Random(52)
         for _ in range(300):
             n, m = rng.randint(1, 6), rng.randint(1, 3)
@@ -287,19 +293,21 @@ class TestFBetaRobust:
                 threshold=rng.uniform(0.0, 1.0),
                 prize={f"s{j}": scale * rng.uniform(0.2, 2.0) for j in range(m)},
             )
+            net = to_network(sym)
             target = rng.sample(sym.services, rng.randint(1, m))
-            hit = evaluate_attack(to_network(sym), consolidated_attack(sym, target))
-            assert set(target) <= hit.attacked_services
+            for k in range(n + 1):
+                attack = capped_attack(net, target, net.validators[:k])
+                assert set(target) <= evaluate_attack(net, attack).attacked_services
             cap = cap_of(sym, rng.choice([0, 0.25, 0.5, 1.0]))
             budget = rng.uniform(0, 1) * scale
             tol = 1e-9 * max(stake, *sym.prize.values())
-            witness = find_beta_costly(sym, budget, weight_cap=cap)
+            witness = find_beta_costly(net, budget, weight_cap=cap)
             if witness is None:
                 assert max_budget(sym, weight_cap=cap) > budget - tol
                 continue
             assert max_budget(sym, weight_cap=cap) <= budget + tol
             byzantine, attack = witness
-            ev = evaluate_attack(apply_byzantine(to_network(sym), byzantine), attack)
+            ev = evaluate_attack(apply_byzantine(net, byzantine), attack)
             assert ev.attacked_services
             assert ev.margin >= -budget - tol
 
@@ -325,7 +333,8 @@ class TestMinStake:
         template = SweepTemplate(n_validators=10, n_services=10, threshold=1 / 3)
         for degree in (1.0, 2.5, 7.0):
             result = min_stake_for(template, degree, budget=0.5, f=0)
-            below, above = (template.build(result + d, degree) for d in (-1e-5, 1e-5))
+            below, above = (template.build_network(result + d, degree)
+                            for d in (-1e-5, 1e-5))
             assert find_beta_costly(below, 0.5, weight_cap=0) is not None
             assert find_beta_costly(above, 0.5, weight_cap=0) is None
 
@@ -349,7 +358,7 @@ class TestMinStake:
             assert math.isnan(scaled) and math.isnan(by_mip)
             return
         cap = byzantine_weight_cap(template(1).build_network(1.0, degree), f)
-        at = lambda s: template(1).build(s, degree)
+        at = lambda s: template(1).build_network(s, degree)
         assert find_beta_costly(at(stake), budget, weight_cap=cap) is not None
         assert find_beta_costly(at(stake * (1 + 1e-6)), budget, weight_cap=cap) is None
         assert scaled == pytest.approx(3 * stake, rel=1e-9)
@@ -418,13 +427,8 @@ class TestProperties:
                 ev = evaluate_attack(net, attack)
                 if not ev.attacked_services:
                     continue
-                target = tuple(sorted(ev.attacked_services))
-                cev = evaluate_attack(net, consolidated_attack(sym, target))
-                assert cev.total_cost <= ev.total_cost + 1e-9
-                assert target <= tuple(sorted(cev.attacked_services)) or set(
-                    target
-                ) <= set(cev.attacked_services)
-                assert cev.total_prize >= ev.total_prize - 1e-9
+                target = sorted(ev.attacked_services)
+                assert consolidated_cost(sym, target) <= ev.total_cost + 1e-9
 
     def test_symmetry_preserved_by_slashing(self):
         rng = random.Random(55)
@@ -448,7 +452,7 @@ class TestProperties:
             sym = random_symmetric(rng, max_validators=4, max_services=3)
             net = to_network(sym)
             margin, _ = best_attack(net)
-            assert (find_beta_costly(sym, 0, weight_cap=0) is None) == (margin < 0)
+            assert (find_beta_costly(to_network(sym), 0, weight_cap=0) is None) == (margin < 0)
             assert max_budget(sym, weight_cap=0) == pytest.approx(
                 min_budget_bruteforce(net), abs=1e-7
             )
@@ -470,7 +474,7 @@ class TestProperties:
                     robust.append(False)
                     continue
                 robust.append(
-                    find_beta_costly(as_symmetric(slashed), budget, weight_cap=0) is None
+                    find_beta_costly(slashed, budget, weight_cap=0) is None
                 )
             for k in range(len(robust) - 1):
                 assert not robust[k + 1] or robust[k], (robust, k)
