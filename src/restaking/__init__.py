@@ -13,6 +13,6 @@ the package namespace re-exports the names of the README's example.
 
 from .mip import min_budget, mip_check
 from .model import Network
-from .symmetry import as_symmetric, max_budget
+from .symmetry import max_budget
 
 __version__ = "0.1.0"

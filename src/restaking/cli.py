@@ -289,10 +289,8 @@ def _preset_custom(params: dict) -> list[tuple[str, exp.Table]]:
             params.get("degrees"),
             base=tuple(params["base"]) if params.get("base") else None,
         )
-        return [
-            (filename.replace(".csv", f"_budget_{b:g}.csv"), t)
-            for b, t in tables.items()
-        ]
+        path = Path(filename)
+        return [(f"{path.stem}_budget_{b:g}{path.suffix}", t) for b, t in tables.items()]
     if kind == "failure":
         template = exp.SweepTemplate(
             n_validators=params["n"], n_services=params["m"],

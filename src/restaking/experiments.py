@@ -153,8 +153,8 @@ def sweep_min_stake_robustness(
 
 def _budget_cell(template: SweepTemplate, stake, degree, f) -> float:
     """max_budget at the absolute cap of Byzantine fraction f."""
-    cap = byzantine_weight_cap(template.build_network(stake, degree), f)
-    return max_budget(template.build(stake, degree), weight_cap=cap)
+    net = template.build_network(stake, degree)
+    return max_budget(net, weight_cap=byzantine_weight_cap(net, f))
 
 
 def sweep_failure_threshold(

@@ -11,10 +11,14 @@ the enumeration is polynomial per class. Byzantine choices come from the
 class-count generator in :mod:`restaking.model` that every engine shares,
 one per count vector, and one generator here pairs each of them with every
 consolidated attack after it; :func:`find_beta_costly`, :func:`max_budget`
-and :func:`min_stake_for` reduce it by first, min and max. Like the other
-engines, :func:`find_beta_costly` decides the caller's network and reports a
-violation as ``(Byzantine services, attack)``, the attack built on that
-network, with its validator ids and stakes, by
+and :func:`min_stake_for` reduce it by first, min and max.
+
+Like the other engines, every public function here takes the caller's
+:class:`restaking.model.Network` (:func:`min_stake_for` takes a
+:class:`SweepTemplate` and builds one) and raises NotSymmetricError, naming
+the failed condition, when it is not symmetric. :func:`find_beta_costly`
+reports a violation as ``(Byzantine services, attack)``, the attack built
+on that network, with its validator ids and stakes, by
 :func:`restaking.model.capped_attack` with the first floor(threshold * n)
 validators capped. Byzantine weight caps are absolute, as everywhere in the
 package (see :func:`restaking.model.byzantine_weight_cap`).
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, NamedTuple
 
 from .model import (
     TOLERANCE,
@@ -41,10 +45,7 @@ from .model import (
 )
 
 __all__ = [
-    "SymmetricNetwork",
     "NotSymmetricError",
-    "as_symmetric",
-    "to_network",
     "consolidated_cost",
     "find_beta_costly",
     "max_budget",
@@ -63,40 +64,18 @@ class NotSymmetricError(ValueError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
-class SymmetricNetwork:
-    """Compact form of a symmetric network.
-
-    allocation maps each service to the (common) per-validator allocation;
-    prize maps each service to its attack prize. Services listed in
-    base_services can never be chosen Byzantine.
-    """
+class _Compact(NamedTuple):
+    """A symmetric network in compact form: ``n_validators`` validators of
+    one ``stake``, each allocating ``allocation[s]`` to service s, and one
+    common ``threshold``. It only comes from a validated :class:`Network`
+    (:func:`_compact`) or from slashing one (:func:`_slash`)."""
 
     n_validators: int
     stake: float
-    allocation: Mapping[str, float]
+    allocation: dict
     threshold: float
-    prize: Mapping[str, float]
-    base_services: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "base_services", frozenset(self.base_services))
-        if self.n_validators < 1:
-            raise InputError("need at least one validator")
-        if not 0 < self.stake < math.inf:
-            raise InputError("stake must be positive and finite")
-        if not 0 <= self.threshold <= 1:
-            raise InputError("threshold must lie in [0, 1]")
-        if set(self.allocation) != set(self.prize):
-            raise InputError("allocation and prize must cover the same services")
-        for s, w in self.allocation.items():
-            if w < 0 or not _le(w, self.stake):
-                raise InputError(f"allocation must lie in [0, stake] (service {s!r})")
-        for s, p in self.prize.items():
-            if not 0 < p < math.inf:
-                raise InputError(f"prize must be positive and finite (service {s!r})")
-        if not self.base_services <= set(self.allocation):
-            raise InputError("base_services must be a subset of services")
+    prize: dict
+    base_services: frozenset
 
     @property
     def services(self) -> tuple[str, ...]:
@@ -104,24 +83,26 @@ class SymmetricNetwork:
 
 
 def _values_close(a, b) -> bool:
+    if a == b:
+        return True
     if _exact(a, b):
-        return a == b
+        return False
     return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
 
 
-def as_symmetric(net: Network) -> SymmetricNetwork:
+def _compact(net: Network) -> _Compact:
     """Compact a network, or raise NotSymmetricError naming the failed check."""
     if not net.validators:
         raise NotSymmetricError("stake", "network has no validators")
-    v0 = net.validators[0]
+    v0, *others = net.validators
     sigma = net.stake[v0]
-    for v in net.validators[1:]:
+    for v in others:
         if not _values_close(net.stake[v], sigma):
             raise NotSymmetricError("stake", f"validator {v!r} has a different stake")
     allocation = {}
     for s in net.services:
         w0 = net.w(v0, s)
-        for v in net.validators[1:]:
+        for v in others:
             if not _values_close(net.w(v, s), w0):
                 raise NotSymmetricError(
                     "allocation",
@@ -136,7 +117,7 @@ def as_symmetric(net: Network) -> SymmetricNetwork:
             raise NotSymmetricError(
                 "threshold", f"service {s!r} has a different threshold"
             )
-    return SymmetricNetwork(
+    return _Compact(
         n_validators=len(net.validators),
         stake=sigma,
         allocation=allocation,
@@ -146,23 +127,7 @@ def as_symmetric(net: Network) -> SymmetricNetwork:
     )
 
 
-def to_network(sym: SymmetricNetwork) -> Network:
-    """Expand the compact form; validators are named v1..vn."""
-    validators = tuple(f"v{i + 1}" for i in range(sym.n_validators))
-    return Network(
-        validators=validators,
-        services=sym.services,
-        stake={v: sym.stake for v in validators},
-        allocation={
-            (v, s): w for v in validators for s, w in sym.allocation.items() if w != 0
-        },
-        threshold={s: sym.threshold for s in sym.services},
-        prize=dict(sym.prize),
-        base_services=sym.base_services,
-    )
-
-
-def _threshold_split(sym: SymmetricNetwork):
+def _threshold_split(sym: _Compact):
     """floor and fractional part of threshold * n, snapped for float noise."""
     t = sym.threshold * sym.n_validators
     if _exact(t):
@@ -175,13 +140,15 @@ def _threshold_split(sym: SymmetricNetwork):
     return k, frac
 
 
-def consolidated_cost(sym: SymmetricNetwork, target: Iterable[str]):
-    """Cost of the consolidated attack on the target services.
+def consolidated_cost(net: Network, target: Iterable[str]):
+    """Cost of the consolidated attack on the target services of a symmetric
+    network (NotSymmetricError otherwise).
 
     With W the summed per-validator allocation over the target, the first
     floor(threshold * n) validators pay min(stake, W) and the fractional
     validator pays min(stake, frac * W).
     """
+    sym = _compact(net)
     target = tuple(target)
     unknown = set(target) - set(sym.services)
     if unknown:
@@ -191,7 +158,7 @@ def consolidated_cost(sym: SymmetricNetwork, target: Iterable[str]):
     return k * min(sym.stake, w_total) + min(sym.stake, frac * w_total)
 
 
-def _classes(sym: SymmetricNetwork) -> list[tuple[tuple, list[str]]]:
+def _classes(sym: _Compact) -> list[tuple[tuple, list[str]]]:
     """Group services by (allocation, prize); counts fully determine attacks."""
     groups: dict[tuple, list[str]] = {}
     for s in sym.services:
@@ -199,15 +166,13 @@ def _classes(sym: SymmetricNetwork) -> list[tuple[tuple, list[str]]]:
     return list(groups.items())
 
 
-def _slash(sym: SymmetricNetwork, byz: dict, names: tuple) -> SymmetricNetwork | None:
+def _slash(sym: _Compact, byz: dict, names: tuple) -> _Compact | None:
     """Network left after the non-base services ``names``, ``byz[class-key]``
     per (allocation, prize) class, turn Byzantine.
 
     Returns None when no services remain (the vacuous, trivially robust
     case), and the network itself for the empty choice. When slashing wipes
-    the whole stake, the result keeps a positive stake but zero allocations,
-    which evaluates identically for attacks (every cost term is capped by
-    the zero allocation).
+    the whole stake, every allocation left is zero.
     """
     if not names and sym.allocation:
         return sym
@@ -219,9 +184,9 @@ def _slash(sym: SymmetricNetwork, byz: dict, names: tuple) -> SymmetricNetwork |
     }
     if not remaining:
         return None
-    return SymmetricNetwork(
+    return _Compact(
         n_validators=sym.n_validators,
-        stake=new_stake if new_stake > 0 else sym.stake,
+        stake=new_stake,
         allocation=remaining,
         threshold=sym.threshold,
         prize={s: sym.prize[s] for s in remaining},
@@ -229,7 +194,7 @@ def _slash(sym: SymmetricNetwork, byz: dict, names: tuple) -> SymmetricNetwork |
     )
 
 
-def _consolidated_attacks(sym: SymmetricNetwork, weight_cap) -> Iterator[tuple]:
+def _consolidated_attacks(sym: _Compact, weight_cap) -> Iterator[tuple]:
     """Every admissible Byzantine choice with every consolidated attack after it.
 
     Yields ``(byz, classes, counts, cost, prize)``: ``byz`` names the
@@ -268,18 +233,18 @@ def find_beta_costly(
 ) -> tuple[tuple[str, ...], Attack] | None:
     """The first violation of (weight cap, budget)-robustness, or None.
 
-    ``net`` must pass :func:`as_symmetric`. Every Byzantine choice of total
-    weight at most ``weight_cap`` is applied, and the network is robust when
-    every consolidated attack on what slashing leaves costs strictly more
-    than its prize plus the budget; a choice that removes every service is
-    vacuously fine. A violation is ``(Byzantine services, consolidated
+    ``net`` must be symmetric (else NotSymmetricError). Every Byzantine
+    choice of total weight at most ``weight_cap`` is applied, and the network
+    is robust when every consolidated attack on what slashing leaves costs
+    strictly more than its prize plus the budget; a choice that removes every
+    service is vacuously fine. A violation is ``(Byzantine services, consolidated
     attack)``, both picked deterministically from their equivalence classes
     in service order; the attack is built on ``net`` after slashing, so it
     names the caller's validators and fits their stakes.
     """
     if budget < 0:
         raise InputError("budget must be non-negative")
-    sym = as_symmetric(net)
+    sym = _compact(net)
     # threshold * n, and with it the capped count, is the same after slashing.
     k, _ = _threshold_split(sym)
     for byz, classes, counts, cost, prize in _consolidated_attacks(sym, weight_cap):
@@ -290,15 +255,17 @@ def find_beta_costly(
     return None
 
 
-def max_budget(sym: SymmetricNetwork, weight_cap) -> float:
-    """Supremum of budgets for which the network is (weight cap, budget)-robust.
+def max_budget(net: Network, weight_cap) -> float:
+    """Supremum of budgets for which a symmetric network (NotSymmetricError
+    otherwise) is (weight cap, budget)-robust.
 
     Closed form: the minimum over admissible Byzantine choices and attack
     subsets of (consolidated cost - prize) on the slashed network, clamped
     at zero. Returns inf when no attack subset exists at all.
     """
+    attacks = _consolidated_attacks(_compact(net), weight_cap)
     worst = min(
-        (cost - prize for *_, cost, prize in _consolidated_attacks(sym, weight_cap)),
+        (cost - prize for *_, cost, prize in attacks),
         default=math.inf,
     )
     return worst if math.isinf(worst) else max(0, worst)
@@ -332,7 +299,9 @@ class SweepTemplate:
     def has_base(self) -> bool:
         return self.base_prize is not None
 
-    def _allocations(self, stake, degree):
+    def build_network(self, stake, degree) -> Network:
+        """The template's network at this stake and degree; validators are
+        v1..vn, services s1..sm, then ``base`` when configured."""
         if stake <= 0:
             raise InputError("stake must be positive")
         if degree < 0 or degree > self.n_services:
@@ -349,27 +318,6 @@ class SweepTemplate:
             prize["base"] = self.base_prize
             threshold["base"] = self.base_threshold
             base = frozenset({"base"})
-        return allocation, prize, threshold, base
-
-    def build(self, stake, degree) -> SymmetricNetwork:
-        """Compact symmetric form; requires the base threshold to match."""
-        allocation, prize, threshold, base = self._allocations(stake, degree)
-        if self.has_base() and self.base_threshold != self.threshold:
-            raise InputError(
-                "base service must share the common threshold in symmetric form"
-            )
-        return SymmetricNetwork(
-            n_validators=self.n_validators,
-            stake=stake,
-            allocation=allocation,
-            threshold=self.threshold,
-            prize=prize,
-            base_services=base,
-        )
-
-    def build_network(self, stake, degree) -> Network:
-        """Full network form; works for any base threshold."""
-        allocation, prize, threshold, base = self._allocations(stake, degree)
         validators = tuple(f"v{i + 1}" for i in range(self.n_validators))
         return Network(
             validators=validators,
@@ -386,7 +334,11 @@ class SweepTemplate:
 
 def _stake_ratio(prize, budget, cost) -> float:
     """Stake above which an attack costing ``cost`` at stake 1 stops paying:
-    (prize + budget) / cost, or inf when the attack is free within TOLERANCE."""
+    (prize + budget) / cost, or inf when the attack is free within TOLERANCE.
+
+    The cutoff is absolute: a cost at stake 1 of at most TOLERANCE (1e-9)
+    counts as free, so every finite ratio is below (prize + budget) * 1e9.
+    """
     return math.inf if cost <= TOLERANCE else (prize + budget) / cost
 
 
@@ -399,15 +351,21 @@ def min_stake_for(template: SweepTemplate, degree, budget, f) -> float:
     attack costing g at stake 1 costs stake * g, and the infimum is the
     largest :func:`_stake_ratio` over admissible Byzantine choices and
     consolidated attacks at stake 1. It is exact: attackable there (ties go
-    to the attacker), robust above. Returns nan when some choice leaves an
-    attack that costs nothing: the configuration is unsatisfiable at any
-    stake (slashing can wipe all stake regardless of its size).
+    to the attacker), robust above. The template must be symmetric: a base
+    threshold that differs from the common one raises NotSymmetricError.
+
+    Returns nan when some choice leaves an attack that costs at most
+    ``TOLERANCE`` (1e-9) at stake 1: the configuration is unsatisfiable at
+    any stake (slashing can wipe all stake regardless of its size), and a
+    cost that small is taken as free. Every finite result is therefore
+    below (prize + budget) * 1e9.
     """
     if budget < 0:
         raise InputError("budget must be non-negative")
-    cap = byzantine_weight_cap(template.build_network(1.0, degree), f)
+    unit = template.build_network(1.0, degree)
+    cap = byzantine_weight_cap(unit, f)
     stake = max(
         _stake_ratio(prize, budget, cost)
-        for *_, cost, prize in _consolidated_attacks(template.build(1.0, degree), cap)
+        for *_, cost, prize in _consolidated_attacks(_compact(unit), cap)
     )
     return stake if math.isfinite(stake) else math.nan

@@ -86,3 +86,21 @@ def as_fractions(net: Network) -> Network:
         threshold=exact(net.threshold),
         prize=exact(net.prize),
     )
+
+
+def symmetric_network(n_validators: int, stake, allocation: dict, threshold, prize: dict,
+                      base_services=frozenset()) -> Network:
+    """Symmetric network: validators v1..vn of one stake, each allocating
+    ``allocation[s]`` to service s, and one threshold for every service."""
+    validators = tuple(f"v{i + 1}" for i in range(n_validators))
+    return Network(
+        validators=validators,
+        services=tuple(allocation),
+        stake={v: stake for v in validators},
+        allocation={
+            (v, s): w for v in validators for s, w in allocation.items() if w != 0
+        },
+        threshold={s: threshold for s in allocation},
+        prize=dict(prize),
+        base_services=base_services,
+    )

@@ -38,17 +38,14 @@ from restaking.model import (
 )
 from restaking.symmetry import (
     SweepTemplate,
-    SymmetricNetwork,
-    as_symmetric,
     consolidated_cost,
     find_beta_costly,
     max_budget,
     min_stake_for,
-    to_network,
 )
 from restaking.experiments import sweep_min_stake_robustness, sweep_mip_vs_theory
 
-from conftest import random_network
+from conftest import random_network, symmetric_network
 
 
 class _Timer:
@@ -76,8 +73,7 @@ def test_criterion_1_atomic_boundary(fig_atomic):
     with _Timer("1 (budget boundary, three engines)", 1.0):
         assert min_budget(fig_atomic) == pytest.approx(15.0, abs=1e-6)
         assert min_budget_bruteforce(fig_atomic) == pytest.approx(15.0, abs=1e-6)
-        sym = as_symmetric(fig_atomic)
-        assert max_budget(sym, weight_cap=0) == pytest.approx(15.0, abs=1e-6)
+        assert max_budget(fig_atomic, weight_cap=0) == pytest.approx(15.0, abs=1e-6)
         assert find_beta_costly(fig_atomic, 14.999999, weight_cap=0) is None
         assert find_beta_costly(fig_atomic, 15.0, weight_cap=0) is not None
 
@@ -105,8 +101,8 @@ def test_criterion_3_fractional_threshold_shape():
         for degree, expected in ((1.0, 3.0), (3.0, 2.0)):
             value = min_stake_for(analog, degree, budget=0, f=0)
             assert value == pytest.approx(expected, abs=1e-5)
-            margin_above, _ = best_attack(to_network(analog.build(value + 1e-4, degree)))
-            margin_below, _ = best_attack(to_network(analog.build(value - 1e-4, degree)))
+            margin_above, _ = best_attack(analog.build_network(value + 1e-4, degree))
+            margin_below, _ = best_attack(analog.build_network(value - 1e-4, degree))
             assert margin_above < 0 <= margin_below
 
 
@@ -204,14 +200,13 @@ def test_criterion_8_consolidation_dominance():
             n = rng.randint(1, 6)
             m = rng.randint(1, 4)
             stake = rng.uniform(0.5, 4.0)
-            sym = SymmetricNetwork(
+            net = symmetric_network(
                 n_validators=n,
                 stake=stake,
                 allocation={f"s{j}": rng.uniform(0, stake) for j in range(m)},
                 threshold=rng.uniform(0, 1),
                 prize={f"s{j}": rng.uniform(0.2, 2.0) for j in range(m)},
             )
-            net = to_network(sym)
             for _ in range(20):
                 attack = Attack(
                     stake_used={
@@ -225,7 +220,7 @@ def test_criterion_8_consolidation_dominance():
                 if not ev.attacked_services:
                     continue
                 target = sorted(ev.attacked_services)
-                assert consolidated_cost(sym, target) <= ev.total_cost + 1e-9
+                assert consolidated_cost(net, target) <= ev.total_cost + 1e-9
 
 
 def test_criterion_9_incentive_equilibrium():
@@ -275,16 +270,15 @@ def test_criterion_10_monotonicity_and_oracle_equivalence():
             m = rng.randint(1, 5)
             stake = rng.uniform(0.5, 8.0)
             degree = rng.uniform(0.2, m)
-            sym = SymmetricNetwork(
+            net = symmetric_network(
                 n_validators=n,
                 stake=stake,
                 allocation={f"s{j}": degree * stake / m for j in range(m)},
                 threshold=rng.choice([1 / 3, 0.5, 0.25]),
                 prize={f"s{j}": 1.0 for j in range(m)},
             )
-            net = to_network(sym)
             values = [
-                max_budget(sym, weight_cap=byzantine_weight_cap(net, f))
+                max_budget(net, weight_cap=byzantine_weight_cap(net, f))
                 for f in (0, 0.2, 0.4, 0.6, 0.8, 1.0)
             ]
             assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))

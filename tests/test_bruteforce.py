@@ -197,7 +197,7 @@ class TestClassCounts:
                 (min_budget_bruteforce(slashed) for _, slashed in byzantine_choices(net, cap)),
                 default=math.inf,
             )
-            closed = max_budget(template.build(stake, degree), cap)
+            closed = max_budget(net, cap)
             assert oracle == pytest.approx(closed, abs=AGREEMENT_TOLERANCE), (c, degree, f)
 
 

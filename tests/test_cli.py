@@ -185,7 +185,7 @@ class TestCheck:
         assert "v1" not in out
 
     def test_near_symmetric_witness_fits_each_stake(self, tmp_path, capsys):
-        # The stakes differ by 5e-13 of their size, within as_symmetric's
+        # The stakes differ by 5e-13 of their size, within the closed form's
         # tolerance; the witness takes v2's own stake, not v1's.
         stakes = {"v1": 1e10, "v2": 9999999999.995}
         payload = {
@@ -201,7 +201,7 @@ class TestCheck:
             assert "  v2: a=9999999999.995001 (cost 9999999999.995001)\n" in out
 
     def test_near_symmetric_files_never_exit_2(self, tmp_path, capsys):
-        # Files within as_symmetric's 1e-12 tolerance of symmetric, at scales
+        # Files within the closed form's 1e-12 tolerance of symmetric, at scales
         # up to 1e12: every check reaches a verdict and prints its witness.
         rng = random.Random(16)
         for i in range(100):
@@ -480,6 +480,20 @@ class TestSweep:
         assert main(["sweep", config, "--out", str(out)]) == 0
         lines = (out / "d.csv").read_text().splitlines()
         assert lines[1].startswith("1.000000,") and lines[-1].startswith("2.000000,")
+
+    def test_custom_robustness_file_without_csv_suffix(self, tmp_path, capsys):
+        # One file per budget, named from the file's stem and suffix.
+        config = write(
+            tmp_path, "sweeps.json",
+            {"sweeps": [{"name": "custom", "kind": "robustness", "file": "rob.txt",
+                         "n": 2, "m": 2, "threshold": 0.5, "budgets": [0, 1],
+                         "f_grid": [0], "degrees": [1.0]}]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", config, "--out", str(out)]) == 0
+        files = sorted(p.name for p in out.iterdir())
+        assert files == ["rob_budget_0.txt", "rob_budget_1.txt"]
+        assert "rob_budget_1.txt: 1 rows" in capsys.readouterr().out
 
     def test_fig7_preset_agrees(self, tmp_path):
         config = write(

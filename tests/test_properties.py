@@ -15,9 +15,9 @@ from restaking.model import (
     evaluate_attack,
     prize_shares,
 )
-from restaking.symmetry import SymmetricNetwork, consolidated_cost, to_network
+from restaking.symmetry import consolidated_cost
 
-from conftest import as_fractions
+from conftest import as_fractions, symmetric_network
 
 
 @st.composite
@@ -132,7 +132,7 @@ def symmetric_networks(draw):
     n = draw(st.integers(1, 6))
     m = draw(st.integers(1, 4))
     stake = draw(st.floats(0.5, 4.0))
-    return SymmetricNetwork(
+    return symmetric_network(
         n_validators=n,
         stake=stake,
         allocation={f"s{j}": draw(st.floats(0.0, 1.0)) * stake for j in range(m)},
@@ -143,13 +143,12 @@ def symmetric_networks(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(symmetric_networks(), st.data())
-def test_consolidation_never_costs_more(sym, data):
-    net = to_network(sym)
+def test_consolidation_never_costs_more(net, data):
     attack = data.draw(attacks_on(net))
     ev = evaluate_attack(net, attack)
     if not ev.attacked_services:
         return
-    assert consolidated_cost(sym, sorted(ev.attacked_services)) <= ev.total_cost + 1e-9
+    assert consolidated_cost(net, sorted(ev.attacked_services)) <= ev.total_cost + 1e-9
 
 
 @st.composite

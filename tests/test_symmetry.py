@@ -13,7 +13,6 @@ from restaking.bruteforce import best_attack, min_budget_bruteforce, min_cost_at
 from restaking.experiments import min_stake_mip
 from restaking.model import (
     Attack,
-    InputError,
     Network,
     _le,
     apply_byzantine,
@@ -24,14 +23,14 @@ from restaking.model import (
 from restaking.symmetry import (
     NotSymmetricError,
     SweepTemplate,
-    SymmetricNetwork,
-    as_symmetric,
+    _compact,
     consolidated_cost,
     find_beta_costly,
     max_budget,
     min_stake_for,
-    to_network,
 )
+
+from conftest import symmetric_network
 
 
 def uniform_symmetric(n, m, stake, degree, threshold, prize=1.0, base=None):
@@ -42,7 +41,7 @@ def uniform_symmetric(n, m, stake, degree, threshold, prize=1.0, base=None):
         allocation["base"] = stake
         prizes["base"] = base
         base_set = frozenset({"base"})
-    return SymmetricNetwork(
+    return symmetric_network(
         n_validators=n,
         stake=stake,
         allocation=allocation,
@@ -52,9 +51,9 @@ def uniform_symmetric(n, m, stake, degree, threshold, prize=1.0, base=None):
     )
 
 
-def cap_of(sym, f):
+def cap_of(net, f):
     """The absolute Byzantine weight cap of fraction f."""
-    return byzantine_weight_cap(to_network(sym), f)
+    return byzantine_weight_cap(net, f)
 
 
 def first_witness(net):
@@ -70,7 +69,7 @@ def random_symmetric(rng, max_validators=6, max_services=4):
     n = rng.randint(1, max_validators)
     m = rng.randint(1, max_services)
     stake = rng.uniform(0.5, 4.0)
-    return SymmetricNetwork(
+    return symmetric_network(
         n_validators=n,
         stake=stake,
         allocation={f"s{j}": rng.uniform(0.0, stake) for j in range(m)},
@@ -81,11 +80,11 @@ def random_symmetric(rng, max_validators=6, max_services=4):
 
 class TestAsSymmetric:
     def test_atomic_pair(self, fig_atomic):
-        sym = as_symmetric(fig_atomic)
-        assert sym.n_validators == 2
-        assert sym.stake == 20
-        assert sym.allocation == {"s": 20}
-        assert sym.threshold == 0.5
+        compact = _compact(fig_atomic)
+        assert compact.n_validators == 2
+        assert compact.stake == 20
+        assert compact.allocation == {"s": 20}
+        assert compact.threshold == 0.5
 
     def test_unequal_stake_reports_condition(self, fig_atomic):
         net = Network(
@@ -97,7 +96,7 @@ class TestAsSymmetric:
             prize={"s": 5},
         )
         with pytest.raises(NotSymmetricError) as err:
-            as_symmetric(net)
+            _compact(net)
         assert err.value.condition == "stake"
 
     def test_unequal_allocations_reported(self):
@@ -110,7 +109,7 @@ class TestAsSymmetric:
             prize={"s": 5},
         )
         with pytest.raises(NotSymmetricError) as err:
-            as_symmetric(net)
+            _compact(net)
         assert err.value.condition == "allocation"
 
     def test_unequal_thresholds_reported(self):
@@ -123,75 +122,62 @@ class TestAsSymmetric:
             prize={"a": 1, "b": 1},
         )
         with pytest.raises(NotSymmetricError) as err:
-            as_symmetric(net)
+            _compact(net)
         assert err.value.condition == "threshold"
 
-    def test_non_finite_stake_or_prize_rejected(self):
-        for stake, prize in ((math.inf, 1.0), (2.0, math.inf), (2.0, math.nan)):
-            with pytest.raises(InputError, match="finite"):
-                SymmetricNetwork(
-                    n_validators=2,
-                    stake=stake,
-                    allocation={"s": 1.0},
-                    threshold=0.5,
-                    prize={"s": prize},
-                )
-
     def test_fifteen_by_fifteen(self):
-        sym = uniform_symmetric(15, 15, 7.4, 1.0, 1 / 3)
-        back = as_symmetric(to_network(sym))
-        assert back.n_validators == 15
-        assert len(back.services) == 15
+        compact = _compact(uniform_symmetric(15, 15, 7.4, 1.0, 1 / 3))
+        assert compact.n_validators == 15
+        assert len(compact.services) == 15
 
 
 class TestConsolidated:
     def test_atomic_pair_cost(self, fig_atomic):
-        sym = as_symmetric(fig_atomic)
-        assert consolidated_cost(sym, ("s",)) == 20
+        assert consolidated_cost(fig_atomic, ("s",)) == 20
 
     def test_empty_target(self, fig_atomic):
-        assert consolidated_cost(as_symmetric(fig_atomic), ()) == 0
+        assert consolidated_cost(fig_atomic, ()) == 0
 
     def test_fractional_validator_boundary(self):
-        sym = uniform_symmetric(10, 10, 3.0, 1.0, 1 / 3)
-        assert consolidated_cost(sym, sym.services) == pytest.approx(10.0)
+        net = uniform_symmetric(10, 10, 3.0, 1.0, 1 / 3)
+        assert consolidated_cost(net, net.services) == pytest.approx(10.0)
 
     def test_attack_matches_cost_and_target(self, fig_atomic):
         attack = first_witness(fig_atomic)
         assert attack.stake_used == {("v1", "s"): 20}
         ev = evaluate_attack(fig_atomic, attack)
-        assert ev.total_cost == consolidated_cost(as_symmetric(fig_atomic), ("s",))
+        assert ev.total_cost == consolidated_cost(fig_atomic, ("s",))
         assert "s" in ev.attacked_services
 
     def test_integer_threshold_has_no_fractional_validator(self):
-        attack = first_witness(to_network(uniform_symmetric(4, 4, 2.0, 2.0, 0.5)))
+        attack = first_witness(uniform_symmetric(4, 4, 2.0, 2.0, 0.5))
         users = {v for (v, _) in attack.stake_used}
         assert users == {"v1", "v2"}
 
     def test_fractional_validator_share(self):
-        sym = uniform_symmetric(10, 10, 3.0, 10.0, 1 / 3)
-        attack = first_witness(to_network(sym))
-        w = sym.allocation["s0"]
+        net = uniform_symmetric(10, 10, 3.0, 10.0, 1 / 3)
+        attack = first_witness(net)
+        w = net.w("v1", "s0")
         assert attack.used("v1", "s0") == w
         assert attack.used("v3", "s0") == w
         assert attack.used("v4", "s0") == pytest.approx(w / 3)
         assert attack.used("v5", "s0") == 0
 
     def test_exact_rational_arithmetic(self):
-        sym = SymmetricNetwork(
+        net = symmetric_network(
             n_validators=3,
             stake=Fraction(2),
             allocation={"s": Fraction(1)},
             threshold=Fraction(1, 3),
             prize={"s": Fraction(1)},
         )
-        assert consolidated_cost(sym, ("s",)) == Fraction(1)
+        assert consolidated_cost(net, ("s",)) == Fraction(1)
 
 
 class TestSecurity:
     def test_integer_threshold_boundary(self):
-        secure = to_network(uniform_symmetric(10, 10, 2.0000001, 3.0, 0.5))
-        insecure = to_network(uniform_symmetric(10, 10, 2.0, 3.0, 0.5))
+        secure = uniform_symmetric(10, 10, 2.0000001, 3.0, 0.5)
+        insecure = uniform_symmetric(10, 10, 2.0, 3.0, 0.5)
         assert find_beta_costly(secure, 0, weight_cap=0) is None
         assert find_beta_costly(insecure, 0, weight_cap=0) is not None
 
@@ -199,14 +185,14 @@ class TestSecurity:
         assert find_beta_costly(half_allocated, 0, weight_cap=0) is not None
 
     def test_zero_allocation_service_breaks_security(self):
-        sym = SymmetricNetwork(
+        net = symmetric_network(
             n_validators=2,
             stake=5,
             allocation={"a": 3, "b": 0},
             threshold=0.5,
             prize={"a": 1, "b": 1},
         )
-        assert find_beta_costly(to_network(sym), 0, weight_cap=0) is not None
+        assert find_beta_costly(net, 0, weight_cap=0) is not None
 
 
 class TestBetaRobust:
@@ -223,14 +209,14 @@ class TestBetaRobust:
             (2.4, 2, False),
             (2.5, 2, True),
         ]:
-            sym = SymmetricNetwork(
+            net = symmetric_network(
                 n_validators=15,
                 stake=stake,
                 allocation={"base": stake},
                 threshold=1 / 3,
                 prize={"base": 10},
             )
-            assert (find_beta_costly(to_network(sym), budget, weight_cap=0) is None) == expected
+            assert (find_beta_costly(net, budget, weight_cap=0) is None) == expected
 
 
 class TestFBetaRobust:
@@ -239,27 +225,27 @@ class TestFBetaRobust:
         # attack on the network as it is.
         rng = random.Random(51)
         for _ in range(25):
-            sym = random_symmetric(rng)
+            net = random_symmetric(rng)
             budget = rng.uniform(0, 2)
             expected = not any(
-                _le(consolidated_cost(sym, target),
-                    sum(sym.prize[s] for s in target) + budget)
-                for size in range(1, len(sym.services) + 1)
-                for target in combinations(sym.services, size)
+                _le(consolidated_cost(net, target),
+                    sum(net.prize[s] for s in target) + budget)
+                for size in range(1, len(net.services) + 1)
+                for target in combinations(net.services, size)
             )
-            assert (find_beta_costly(to_network(sym), budget, weight_cap=0) is None) == expected
+            assert (find_beta_costly(net, budget, weight_cap=0) is None) == expected
 
     def test_f_one_identical_services_vacuous(self):
         # Robust at every partial Byzantine count, and the full count leaves
         # nothing to attack: f = 1 must come out (vacuously) robust.
-        sym = SymmetricNetwork(
+        net = symmetric_network(
             n_validators=2,
             stake=10,
             allocation={"a": 1, "b": 1},
             threshold=1,
             prize={"a": 1, "b": 1},
         )
-        assert find_beta_costly(to_network(sym), 0, weight_cap=cap_of(sym, 1)) is None
+        assert find_beta_costly(net, 0, weight_cap=cap_of(net, 1)) is None
 
     def test_combined_network_beats_separated_deployments(self):
         # At budget 2 and a third of the services Byzantine, the combined
@@ -286,26 +272,25 @@ class TestFBetaRobust:
             n, m = rng.randint(1, 6), rng.randint(1, 3)
             scale = 10 ** rng.uniform(0, 12)
             stake = scale * rng.uniform(0.5, 4.0)
-            sym = SymmetricNetwork(
+            net = symmetric_network(
                 n_validators=n,
                 stake=stake,
                 allocation={f"s{j}": rng.uniform(0.0, stake) for j in range(m)},
                 threshold=rng.uniform(0.0, 1.0),
                 prize={f"s{j}": scale * rng.uniform(0.2, 2.0) for j in range(m)},
             )
-            net = to_network(sym)
-            target = rng.sample(sym.services, rng.randint(1, m))
+            target = rng.sample(net.services, rng.randint(1, m))
             for k in range(n + 1):
                 attack = capped_attack(net, target, net.validators[:k])
                 assert set(target) <= evaluate_attack(net, attack).attacked_services
-            cap = cap_of(sym, rng.choice([0, 0.25, 0.5, 1.0]))
+            cap = cap_of(net, rng.choice([0, 0.25, 0.5, 1.0]))
             budget = rng.uniform(0, 1) * scale
-            tol = 1e-9 * max(stake, *sym.prize.values())
+            tol = 1e-9 * max(stake, *net.prize.values())
             witness = find_beta_costly(net, budget, weight_cap=cap)
             if witness is None:
-                assert max_budget(sym, weight_cap=cap) > budget - tol
+                assert max_budget(net, weight_cap=cap) > budget - tol
                 continue
-            assert max_budget(sym, weight_cap=cap) <= budget + tol
+            assert max_budget(net, weight_cap=cap) <= budget + tol
             byzantine, attack = witness
             ev = evaluate_attack(apply_byzantine(net, byzantine), attack)
             assert ev.attacked_services
@@ -370,13 +355,20 @@ class TestMinStake:
         template = SweepTemplate(n_validators=15, n_services=15, threshold=1 / 3)
         assert math.isnan(min_stake_for(template, 3.0, budget=2, f=1 / 3))
 
+    def test_free_attack_cutoff_is_absolute(self):
+        # At stake 1 the attack on one service costs 5e-10. A cost of at most
+        # TOLERANCE (1e-9) there counts as free, so no stake is enough; the
+        # minimum stake would otherwise be 2e9 = (prize + budget) / 5e-10.
+        template = SweepTemplate(1, 3, 0.5)
+        assert math.isnan(min_stake_for(template, 3e-9, 0, 0))
+
     def test_brute_force_confirms_four_by_four_analog(self):
         # Same fractional-validator mechanics as the 10x10 case, small
         # enough for the exhaustive oracle to certify both branch values.
         template = SweepTemplate(n_validators=4, n_services=4, threshold=1 / 3)
 
         def oracle_secure(stake, degree):
-            margin, _ = best_attack(to_network(template.build(stake, degree)))
+            margin, _ = best_attack(template.build_network(stake, degree))
             return margin < 0
 
         for degree, expected in [(1.0, 3.0), (3.0, 2.0)]:
@@ -388,22 +380,22 @@ class TestMinStake:
 
 class TestMaxBudget:
     def test_collapse_point(self):
-        sym = uniform_symmetric(15, 15, 10.0, 3.0, 1 / 3)
+        net = uniform_symmetric(15, 15, 10.0, 3.0, 1 / 3)
         # a third of the services Byzantine wipes the stake at degree 3
-        assert max_budget(sym, weight_cap=cap_of(sym, 1 / 3)) == 0
+        assert max_budget(net, weight_cap=cap_of(net, 1 / 3)) == 0
 
     def test_single_service_margin_at_degree_one(self):
-        sym = uniform_symmetric(15, 15, 10.0, 1.0, 1 / 3)
-        assert max_budget(sym, weight_cap=0) == pytest.approx(5 * (10 / 15) - 1)
+        net = uniform_symmetric(15, 15, 10.0, 1.0, 1 / 3)
+        assert max_budget(net, weight_cap=0) == pytest.approx(5 * (10 / 15) - 1)
 
     def test_non_increasing_in_f(self):
         rng = random.Random(53)
         for _ in range(20):
             n = rng.randint(2, 10)
             m = rng.randint(1, 5)
-            sym = uniform_symmetric(n, m, rng.uniform(1, 10), rng.uniform(0.5, m), 1 / 3)
+            net = uniform_symmetric(n, m, rng.uniform(1, 10), rng.uniform(0.5, m), 1 / 3)
             values = [
-                max_budget(sym, weight_cap=cap_of(sym, f))
+                max_budget(net, weight_cap=cap_of(net, f))
                 for f in (0, 0.25, 0.5, 0.75, 1.0)
             ]
             assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
@@ -413,8 +405,7 @@ class TestProperties:
     def test_consolidation_dominance(self):
         rng = random.Random(54)
         for _ in range(80):
-            sym = random_symmetric(rng)
-            net = to_network(sym)
+            net = random_symmetric(rng)
             for _ in range(5):
                 attack = Attack(
                     stake_used={
@@ -428,13 +419,12 @@ class TestProperties:
                 if not ev.attacked_services:
                     continue
                 target = sorted(ev.attacked_services)
-                assert consolidated_cost(sym, target) <= ev.total_cost + 1e-9
+                assert consolidated_cost(net, target) <= ev.total_cost + 1e-9
 
     def test_symmetry_preserved_by_slashing(self):
         rng = random.Random(55)
         for _ in range(40):
-            sym = random_symmetric(rng)
-            net = to_network(sym)
+            net = random_symmetric(rng)
             eligible = [s for s in net.services if s not in net.base_services]
             if len(eligible) < 2:
                 continue
@@ -442,18 +432,15 @@ class TestProperties:
             slashed = apply_byzantine(net, byz)
             if not slashed.validators or not slashed.services:
                 continue
-            if all(slashed.stake[v] == 0 for v in slashed.validators):
-                continue  # fully wiped: stake 0 is not a symmetric form
-            as_symmetric(slashed)  # must not raise
+            _compact(slashed)  # must not raise
 
     def test_oracle_equivalence_small(self):
         rng = random.Random(56)
         for _ in range(25):
-            sym = random_symmetric(rng, max_validators=4, max_services=3)
-            net = to_network(sym)
+            net = random_symmetric(rng, max_validators=4, max_services=3)
             margin, _ = best_attack(net)
-            assert (find_beta_costly(to_network(sym), 0, weight_cap=0) is None) == (margin < 0)
-            assert max_budget(sym, weight_cap=0) == pytest.approx(
+            assert (find_beta_costly(net, 0, weight_cap=0) is None) == (margin < 0)
+            assert max_budget(net, weight_cap=0) == pytest.approx(
                 min_budget_bruteforce(net), abs=1e-7
             )
 
@@ -464,9 +451,8 @@ class TestProperties:
         for _ in range(30):
             n = rng.randint(2, 8)
             m = rng.randint(3, 5)
-            sym = uniform_symmetric(n, m, rng.uniform(1, 6), rng.uniform(0.5, m), 1 / 3)
+            net = uniform_symmetric(n, m, rng.uniform(1, 6), rng.uniform(0.5, m), 1 / 3)
             budget = rng.uniform(0, 2)
-            net = to_network(sym)
             robust = []
             for k in range(m):  # keep at least one service remaining
                 slashed = apply_byzantine(net, [f"s{i}" for i in range(k)])
@@ -481,6 +467,6 @@ class TestProperties:
 
     def test_consolidated_cost_matches_oracle(self):
         template = SweepTemplate(n_validators=10, n_services=3, threshold=1 / 3)
-        sym = template.build(3.0, 1.0)
-        cost, _ = min_cost_attack(to_network(sym), sym.services)
-        assert cost == pytest.approx(consolidated_cost(sym, sym.services), abs=1e-7)
+        net = template.build_network(3.0, 1.0)
+        cost, _ = min_cost_attack(net, net.services)
+        assert cost == pytest.approx(consolidated_cost(net, net.services), abs=1e-7)
