@@ -52,7 +52,7 @@ def _capped_sets(net: Network) -> Iterator[tuple[tuple[str, ...], float, dict]]:
     """The first capped set C of each count vector over classes of equal
     validators (stake and allocation row), by size, then validator order, with
     its stake and the stake each service still needs once C aims all it has."""
-    required = {s: net.threshold[s] * net.total_allocation(s) for s in net.services}
+    required = net.required_stake
     row = lambda v: (net.stake[v], tuple(net.w(v, s) for s in net.services))
     for _, capped in _class_choices(net.validators, row, lambda v: 0, math.inf):
         deficit = {

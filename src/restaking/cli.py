@@ -21,6 +21,7 @@ below the failure point.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -35,6 +36,7 @@ from .incentives import best_response, equilibrium_allocations
 from .model import (
     InputError,
     Network,
+    _byzantine_representatives,
     apply_byzantine,
     byzantine_choices,
     byzantine_weight_cap,
@@ -116,8 +118,11 @@ def _engine_names(net: Network, cap, mip: bool, oracle: bool) -> list[str]:
         names.append("mip")
     if oracle:
         # Slashing can merge validator classes but never split them, so the
-        # intact network has the most capped sets.
-        for scan in (_capped_sets(net), byzantine_choices(net, cap)):
+        # intact network has the most capped sets. The choice that leaves no
+        # service is not scanned, so it does not count.
+        choices = (s for s in _byzantine_representatives(net, cap)
+                   if len(s) < len(net.services))
+        for scan in (_capped_sets(net), choices):
             if len(list(islice(scan, _ORACLE_LIMIT + 1))) > _ORACLE_LIMIT:
                 raise InputError(
                     f"network too large for the brute-force oracle (more than "
@@ -130,14 +135,14 @@ def _engine_names(net: Network, cap, mip: bool, oracle: bool) -> list[str]:
 def cmd_check(args) -> int:
     net = load_network(args.network)
     budget = args.budget
-    if not budget >= 0:  # written so that NaN fails too
-        raise InputError("--budget must be non-negative")
+    if not 0 <= budget < math.inf:  # written so that NaN fails too
+        raise InputError("--budget must be non-negative and finite")
     if args.weight_cap is not None and args.fraction is not None:
         raise InputError("--fraction and --weight-cap are mutually exclusive")
     if args.weight_cap is not None:
         cap = args.weight_cap
-        if not cap >= 0:
-            raise InputError("--weight-cap must be non-negative")
+        if not 0 <= cap < math.inf:
+            raise InputError("--weight-cap must be non-negative and finite")
         total = total_byzantine_weight(net)
         fraction = min(1.0, cap / total) if total > 0 else 0.0
     else:
@@ -431,7 +436,10 @@ def cmd_incentives(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each parse starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="restaking",
         description="Security, robustness, and incentive analysis of restaking networks.",

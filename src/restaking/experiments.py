@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -21,9 +21,9 @@ from . import mip as mipmod
 from .model import (
     Attack,
     Network,
+    _score,
     byzantine_choices,
     byzantine_weight_cap,
-    evaluate_attack,
 )
 from .symmetry import SweepTemplate, _stake_ratio, max_budget, min_stake_for
 
@@ -214,8 +214,9 @@ def sweep_failure_decomposition(
 
 
 def _cost_ratio(net: Network, attack: Attack, budget) -> float:
-    """:func:`restaking.symmetry._stake_ratio` of an attack on a stake-1 network."""
-    evaluation = evaluate_attack(net, attack)
+    """:func:`restaking.symmetry._stake_ratio` of an attack on a stake-1 network:
+    its full allocation or one ``capped_attack`` built on it, so it fits."""
+    evaluation = _score(net, attack)
     return _stake_ratio(evaluation.total_prize, budget, evaluation.total_cost)
 
 
@@ -245,7 +246,7 @@ def min_stake_mip(
         stake = max(stake, _cost_ratio(slashed, everything, budget))
         while math.isfinite(stake):
             prize = {s: p / stake for s, p in slashed.prize.items()}
-            profit, attack = mipmod.max_attack_profit(replace(slashed, prize=prize))
+            profit, attack = mipmod.max_attack_profit(slashed._with_prizes(prize))
             if not mipmod.attackable(profit * stake, budget):
                 break
             ratio = _cost_ratio(slashed, attack, budget)

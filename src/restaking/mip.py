@@ -27,8 +27,9 @@ ask whether some attack clears the budget, so their branch and bound runs in
 decision mode and stops at the first attack that does; the third needs the
 optimum. Every attack returned is read off the program's binaries by
 position (:func:`restaking.model.capped_attack` of its T and C), re-scored
-by ``evaluate_attack`` on the network it was solved on, and a score that
-contradicts the solver raises :class:`MipStatusError`. The
+as ``evaluate_attack`` scores it on the network it was solved on (an attack
+``capped_attack`` builds fits that network, so its fit is not re-checked),
+and a score that contradicts the solver raises :class:`MipStatusError`. The
 embedded branch-and-bound solver keeps runs deterministic; instances stay
 desk-scale by construction (a few dozen binaries).
 """
@@ -49,9 +50,9 @@ from .model import (
     AttackEvaluation,
     InputError,
     Network,
+    _score,
     byzantine_choices,
     capped_attack,
-    evaluate_attack,
     service_weight,
     total_byzantine_weight,
 )
@@ -152,7 +153,7 @@ def build_budget_mip(net: Network) -> MipProblem:
     # the unit its deficit column counts in.
     units = []
     for j, s in enumerate(net.services):
-        required = float(net.threshold[s] * net.total_allocation(s))
+        required = float(net.required_stake[s])
         column = [float(net.w(v, s)) for v in net.validators]
         unit = max([required, *column]) or scale
         coeffs = [0.0] * nvars
@@ -262,7 +263,7 @@ def _witness(net: Network, solution: MipSolution) -> tuple[Attack, AttackEvaluat
     if solution.status != OPTIMAL:
         raise MipStatusError(f"budget MIP ended {solution.status}, not optimal")
     attack = _attack_from_values(net, solution.values)
-    return attack, evaluate_attack(net, attack)
+    return attack, _score(net, attack)
 
 
 def max_attack_profit(net: Network) -> tuple[float, Attack]:
@@ -289,7 +290,7 @@ def _attack_within(net: Network, budget) -> tuple[Attack, AttackEvaluation] | No
 
     The budget program runs in decision mode at the tie rule of
     :func:`attackable`; an attack it returns that does not clear the budget
-    once scored by ``evaluate_attack`` raises MipStatusError.
+    once scored as ``evaluate_attack`` scores it raises MipStatusError.
     """
     problem = build_budget_mip(net)
     solution = solve_mip(problem, target=-budget - _BOUNDARY_TOL)

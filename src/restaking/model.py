@@ -21,6 +21,16 @@ Witnesses: every engine reports a violation as ``(Byzantine services, attack
 on the network they leave)``, and builds the attack with
 :func:`capped_attack` from the attacked services and the validators that
 pay their whole stake.
+
+Validation happens where a network enters: constructing a :class:`Network`,
+loading one from a file, or ``dataclasses.replace`` on one checks every
+field (and warns once about each threshold-0 service). What the package
+derives from a valid network is valid by construction and is not checked
+again: slashing transitions (:func:`apply_byzantine`) and the prize rescale
+of ``experiments.min_stake_mip`` build through the private
+``Network._trusted``, and attacks built by :func:`capped_attack` are scored
+without :meth:`Attack.validate_for`. Each network computes its services'
+required stakes (:attr:`Network.required_stake`) once.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -149,10 +160,7 @@ class Network:
                 raise InputError(f"missing threshold or prize for service {s!r}")
             if not (0 <= self.threshold[s] <= 1):
                 raise InputError(f"threshold: must lie in [0, 1] (service {s!r})")
-            if not 0 < self.prize[s] < math.inf:
-                raise InputError(
-                    f"prize: must be positive and finite (service {s!r})"
-                )
+            _check_prize(s, self.prize[s])
         check_total((self.prize[s] for s in self.services), "services: total prize")
         for (v, s), w in self.allocation.items():
             if v not in vset:
@@ -173,6 +181,30 @@ class Network:
                     stacklevel=2,
                 )
 
+    @classmethod
+    def _trusted(cls, validators: tuple[str, ...], services: tuple[str, ...],
+                 stake: Mapping[str, float], allocation: Mapping[tuple[str, str], float],
+                 threshold: Mapping[str, float], prize: Mapping[str, float],
+                 base_services: frozenset[str]) -> Network:
+        """A network from fields derived from a valid one, not checked again.
+
+        Only for transitions inside the package whose output is valid by
+        construction; every other path goes through the checked constructor.
+        """
+        net = object.__new__(cls)
+        net.__dict__.update(validators=validators, services=services, stake=stake,
+                            allocation=allocation, threshold=threshold, prize=prize,
+                            base_services=base_services)
+        return net
+
+    def _with_prizes(self, prize: Mapping[str, float]) -> Network:
+        """This network with other prizes, of which only the prizes are checked."""
+        for s in self.services:
+            _check_prize(s, prize[s])
+        check_total((prize[s] for s in self.services), "services: total prize")
+        return Network._trusted(self.validators, self.services, self.stake,
+                                self.allocation, self.threshold, prize, self.base_services)
+
     def w(self, v: str, s: str):
         """Allocation of validator v to service s (0 when unspecified)."""
         return self.allocation.get((v, s), 0)
@@ -180,8 +212,19 @@ class Network:
     def total_allocation(self, s: str):
         return sum(self.w(v, s) for v in self.validators)
 
+    @cached_property
+    def required_stake(self) -> dict[str, float]:
+        """Stake aimed at each service that attacks it: threshold times total
+        allocation, computed once per network."""
+        return {s: self.threshold[s] * self.total_allocation(s) for s in self.services}
+
     def validator_allocation(self, v: str):
         return sum(self.w(v, s) for s in self.services)
+
+
+def _check_prize(s: str, prize) -> None:
+    if not 0 < prize < math.inf:
+        raise InputError(f"prize: must be positive and finite (service {s!r})")
 
 
 @dataclass(frozen=True)
@@ -253,13 +296,14 @@ def attacked_services(net: Network, a: Attack) -> frozenset[str]:
     the all-zero one, because 0 >= threshold * 0 holds.
     """
     a.validate_for(net)
-    attacked = set()
-    for s in net.services:
-        aimed = sum(a.used(v, s) for v in net.validators)
-        required = net.threshold[s] * net.total_allocation(s)
-        if _ge(aimed, required):
-            attacked.add(s)
-    return frozenset(attacked)
+    return _attacked(net, a)
+
+
+def _attacked(net: Network, a: Attack) -> frozenset[str]:
+    return frozenset(
+        s for s in net.services
+        if _ge(sum(a.used(v, s) for v in net.validators), net.required_stake[s])
+    )
 
 
 def evaluate_attack(net: Network, a: Attack) -> AttackEvaluation:
@@ -268,7 +312,14 @@ def evaluate_attack(net: Network, a: Attack) -> AttackEvaluation:
     Only stake aimed at services that clear their threshold is charged, and
     each validator's charge is capped at their stake.
     """
-    attacked = attacked_services(net, a)
+    a.validate_for(net)
+    return _score(net, a)
+
+
+def _score(net: Network, a: Attack) -> AttackEvaluation:
+    """:func:`evaluate_attack` of an attack known to fit net's allocations,
+    such as one :func:`capped_attack` built on it."""
+    attacked = _attacked(net, a)
     costs = {}
     in_order = [s for s in net.services if s in attacked]  # not hash order
     for v in net.validators:
@@ -300,7 +351,7 @@ def capped_attack(net: Network, attacked: Iterable[str], capped: Iterable[str]) 
     used = {}
     aimed = lambda s: sum(used.get((v, s), 0) for v in net.validators)
     for s in attacked:
-        required = net.threshold[s] * net.total_allocation(s)
+        required = net.required_stake[s]
         for v in net.validators:
             if v in capped and net.w(v, s) > 0:
                 used[v, s] = net.w(v, s)
@@ -367,7 +418,9 @@ def apply_byzantine(net: Network, byz: Iterable[str]) -> Network:
     Byzantine services slash their full allocations (capped at each
     validator's stake) and disappear; remaining allocations are clipped to
     the remaining stake. Exact input types are preserved, so integer networks
-    transition exactly.
+    transition exactly. The result is valid by construction (stakes stay
+    non-negative, allocations within them, base services in place), so it is
+    built unchecked.
     """
     byz = frozenset(byz)
     unknown = byz - set(net.services)
@@ -389,7 +442,7 @@ def apply_byzantine(net: Network, byz: Iterable[str]) -> Network:
         for (v, s), w in net.allocation.items()
         if s not in byz
     }
-    return Network(
+    return Network._trusted(
         validators=net.validators,
         services=remaining,
         stake=new_stake,
@@ -503,13 +556,21 @@ def byzantine_choices(net: Network, weight_cap) -> Iterator[tuple[tuple[str, ...
     order, and they come in that order; those that leave no service are
     skipped.
     """
+    for subset in _byzantine_representatives(net, weight_cap):
+        slashed = apply_byzantine(net, subset)
+        if slashed.services:
+            yield subset, slashed
+
+
+def _byzantine_representatives(net: Network, weight_cap) -> Iterator[tuple[str, ...]]:
+    """The subsets :func:`byzantine_choices` slashes, unslashed: one per count
+    vector over classes of interchangeable services, the one that leaves no
+    service included."""
     eligible = [s for s in net.services if s not in net.base_services]
     column = lambda s: tuple(net.w(v, s) for v in net.validators)
     key = lambda s: (net.threshold[s], net.prize[s], column(s))
     for _, subset in _class_choices(eligible, key, lambda s: service_weight(net, s), weight_cap):
-        slashed = apply_byzantine(net, subset)
-        if slashed.services:
-            yield subset, slashed
+        yield subset
 
 
 def eigenlayer_condition(net: Network) -> bool:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from restaking import cli, mip
+from restaking import cli, mip, model
 from restaking.bruteforce import best_attack
 from restaking.cli import _sweep_entries, main
 from restaking.files import load_network, load_reward_pools
@@ -58,6 +58,14 @@ REWARDS_FILE = {
     ],
     "rewards": {"a": 2.0, "b": 1.0},
     "target_degree": 1.2,
+}
+
+
+SIX_IDENTICAL = {
+    "validators": [{"id": f"v{i}", "stake": 10} for i in range(1, 7)],
+    "services": [{"id": f"s{j}", "threshold": 0.5, "prize": 2} for j in range(1, 7)],
+    "allocations": [{"validator": f"v{i}", "service": f"s{j}", "amount": 1}
+                    for i in range(1, 7) for j in range(1, 7)],
 }
 
 
@@ -160,10 +168,30 @@ class TestCheck:
     def test_out_of_range_flags_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "net.json", FIG_ATOMIC)
         for flags in (["--fraction", "1.5"], ["--fraction", "-0.1"], ["--fraction", "nan"],
-                      ["--weight-cap", "-1"], ["--weight-cap", "nan"], ["--budget", "nan"]):
+                      ["--weight-cap", "-1"], ["--weight-cap", "nan"], ["--weight-cap", "inf"],
+                      ["--budget", "nan"], ["--budget", "inf"]):
             assert main(["check", path, *flags]) == 2, flags
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_repeated_calls_share_nothing_but_the_parser(self, tmp_path, capsys):
+        path = write(tmp_path, "net.json", FIG_ATOMIC)
+        assert cli.build_parser() is cli.build_parser()
+        runs = (
+            (["--oracle"], "verdict: secure (engines: symmetric, brute-force)\n"),
+            (["--budget", "1"],
+             "verdict: (f=0.000000, budget=1.000000)-robust (engines: symmetric)\n"),
+            ([], "verdict: secure (engines: symmetric)\n"),
+        )
+        for flags, verdict in runs:
+            assert main(["check", path, *flags]) == 0, flags
+            assert capsys.readouterr().out == verdict
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", path, "--budget", "one"])
+        assert exit_.value.code == 2
+        assert "invalid float value" in capsys.readouterr().err
+        assert main(["check", path]) == 0
+        assert capsys.readouterr().out == runs[-1][1]
 
     def test_weight_cap_above_total_prints_fraction_one(self, tmp_path, capsys):
         # The one service weighs prize / threshold = 10, so a cap of 100
@@ -361,14 +389,6 @@ class TestCheck:
     def test_oracle_solves_each_class_choice_once(self, tmp_path, monkeypatch):
         # Six identical services at fraction 1/2: 42 Byzantine subsets of at
         # most three services, but only four counts (0 to 3) of them.
-        validators = [f"v{i}" for i in range(1, 7)]
-        services = [f"s{j}" for j in range(1, 7)]
-        payload = {
-            "validators": [{"id": v, "stake": 10} for v in validators],
-            "services": [{"id": s, "threshold": 0.5, "prize": 2} for s in services],
-            "allocations": [{"validator": v, "service": s, "amount": 1}
-                            for v in validators for s in services],
-        }
         solved = []
 
         def counted(net):
@@ -376,9 +396,45 @@ class TestCheck:
             return best_attack(net)
 
         monkeypatch.setattr(cli, "best_attack", counted)
-        path = write(tmp_path, "net.json", payload)
+        path = write(tmp_path, "net.json", SIX_IDENTICAL)
         assert main(["check", path, "--fraction", "0.5", "--oracle"]) == 0
         assert len(solved) == 4
+
+    def test_oracle_slashes_each_choice_once(self, tmp_path, monkeypatch):
+        # The oracle's size guard counts the choices without slashing them;
+        # the closed form decides this robust network without apply_byzantine,
+        # so every call comes from the oracle's own scan.
+        slashed = []
+        real = model.apply_byzantine
+        monkeypatch.setattr(model, "apply_byzantine",
+                            lambda net, byz: slashed.append(tuple(byz)) or real(net, byz))
+        path = write(tmp_path, "net.json", SIX_IDENTICAL)
+        assert main(["check", path, "--fraction", "0.5", "--oracle"]) == 0
+        assert slashed == [(), ("s1",), ("s1", "s2"), ("s1", "s2", "s3")]
+
+
+def check_corpus_transcript(workdir: Path) -> str:
+    """Every `restaking check` run of the benchmark's check corpus, as the
+    benchmark runs it: each network file at budgets {0, 1} and fractions
+    {0, 0.2, 0.4}, with `--oracle` on files of at most 4 x 4. Each run is
+    written as its command line (file name only), its stdout and its exit
+    code."""
+    networks = json.loads(CHECK_CORPUS.read_text(encoding="utf-8"))["networks"]
+    lines = []
+    for key, net in sorted(networks.items()):
+        path = workdir / f"{key}.json"
+        path.write_text(json.dumps(net), encoding="utf-8")
+        oracle = ["--oracle"] if len(net["validators"]) <= 4 and len(net["services"]) <= 4 else []
+        for budget in (0, 1):
+            for fraction in (0.0, 0.2, 0.4):
+                flags = ["--budget", str(budget), "--fraction", str(fraction), *oracle]
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    code = main(["check", str(path), *flags])
+                lines.append(" ".join(["$ restaking check", path.name, *flags]) + "\n")
+                lines.append(out.getvalue())
+                lines.append(f"[exit {code}]\n")
+    return "".join(lines)
 
 
 class TestCheckCorpus:
@@ -389,6 +445,10 @@ class TestCheckCorpus:
     @pytest.fixture(scope="class")
     def corpus(self):
         return json.loads(CHECK_CORPUS.read_text(encoding="utf-8"))
+
+    def test_transcript_matches_golden(self, tmp_path):
+        expected = (GOLDEN / "check_corpus.txt").read_text(encoding="utf-8")
+        assert check_corpus_transcript(tmp_path) == expected
 
     @pytest.mark.parametrize("key", [f"net{i:02d}" for i in range(10)])
     def test_exit_codes_match_reference(self, tmp_path, corpus, key):
@@ -729,3 +789,9 @@ def test_malformed_input_exits_2(mutations):
             assert code in (0, 1, 2)
             if rejected:
                 assert code == 2 and err.getvalue().startswith("error: ")
+
+
+if __name__ == "__main__":  # rewrite the check-corpus transcript; see golden/README.md
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "check_corpus.txt").write_text(
+            check_corpus_transcript(Path(tmp)), encoding="utf-8")

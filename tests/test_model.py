@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -26,7 +27,7 @@ from restaking.model import (
     service_weight,
 )
 
-from conftest import random_network
+from conftest import as_fractions, random_network
 
 
 def stretched(stake, allocations):
@@ -541,3 +542,49 @@ def test_totals_beyond_float_range_rejected(big):
         Network(validators=("a",), services=("s", "t"), stake={"a": 1.0},
                 allocation={("a", "s"): 1.0}, threshold={"s": 0.5, "t": 0.5},
                 prize={"s": big, "t": big})
+
+
+def unchecked_path_networks(rng: random.Random) -> list[Network]:
+    """A float network, its exact twin, a variant with threshold-1 services and
+    a base service (also exact), and a planted one with threshold-0 services."""
+    net = random_network(rng)
+    edge = dataclasses.replace(
+        net,
+        threshold={s: 1 if rng.random() < 0.5 else t for s, t in net.threshold.items()},
+        base_services=frozenset(rng.sample(net.services, 1)),
+    )
+    return [net, as_fractions(net), edge, as_fractions(edge), planted_network(rng)]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_unchecked_transitions_stay_valid(seed):
+    """apply_byzantine builds its networks unchecked; the checked constructor
+    accepts each of them and builds the same network, and the cached required
+    stakes are threshold times total allocation, exactly."""
+    rng = random.Random(seed)
+    for net in unchecked_path_networks(rng):
+        for subset in byzantine_subsets(net, math.inf):
+            slashed = apply_byzantine(net, subset)
+            fields = {f.name: getattr(slashed, f.name) for f in dataclasses.fields(Network)}
+            assert Network(**fields) == slashed
+            assert slashed.required_stake == {
+                s: slashed.threshold[s] * slashed.total_allocation(s)
+                for s in slashed.services
+            }
+            edges = [(v, s) for (v, s), w in slashed.allocation.items() if w > 0]
+            if edges:
+                v, s = rng.choice(edges)
+                too_much = Attack(stake_used={(v, s): 2 * slashed.w(v, s) + 1})
+                with pytest.raises(InputError):
+                    evaluate_attack(slashed, too_much)
+
+
+def test_prize_rescale_checks_prizes():
+    net = Network(validators=("v",), services=("s",), stake={"v": 1.0},
+                  allocation={("v", "s"): 1.0}, threshold={"s": 0.5}, prize={"s": 1e-300})
+    assert net._with_prizes({"s": 2.0}).prize == {"s": 2.0}
+    for prize in (1e-300 / 1e300, math.inf, math.nan):  # the first underflows to 0
+        with pytest.raises(InputError, match="prize: must be positive and finite"):
+            net._with_prizes({"s": prize})
+    with pytest.raises(InputError):
+        dataclasses.replace(apply_byzantine(net, ()), prize={"s": -1.0})
