@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -151,19 +153,23 @@ def cmd_check(args) -> int:
             raise InputError("--fraction must lie in [0, 1]")
         cap = byzantine_weight_cap(net, fraction)
 
-    if args.dump_mip:
-        problem = mipmod.build_budget_mip(net)
-        Path(args.dump_mip).write_text(
-            mipmod.write_lp_format(problem), encoding="utf-8"
-        )
-        print(f"wrote MIP dump to {args.dump_mip}")
-
     try:
         witnesses = {"symmetric": _ENGINES["symmetric"](net, budget, cap)}
     except NotSymmetricError:
         witnesses = {}
     for name in _engine_names(net, cap, args.mip or not witnesses, args.oracle):
         witnesses[name] = _ENGINES[name](net, budget, cap)
+    if args.dump_mip:
+        # The program in dispute: on the network that the first printed
+        # witness's Byzantine services leave, or the intact one if none is printed.
+        byzantine = next((w[0] for w in witnesses.values() if w is not None), ())
+        text = mipmod.write_lp_format(mipmod.build_budget_mip(
+            apply_byzantine(net, byzantine) if byzantine else net))
+        if byzantine:
+            scale, rest = text.split("\n", 1)
+            text = f"{scale}\n\\ byzantine: {', '.join(byzantine)}\n{rest}"
+        Path(args.dump_mip).write_text(text, encoding="utf-8")
+        print(f"wrote MIP dump to {args.dump_mip}")
     answers = {w is None for w in witnesses.values()}
     if len(answers) > 1:
         print("engine discrepancy:")
@@ -189,18 +195,6 @@ def cmd_check(args) -> int:
     return 1
 
 
-def _preset_fig3(params: dict) -> list[tuple[str, exp.Table]]:
-    step = params.get("degree_step", 0.1)
-    thresholds = params.get("thresholds", [1 / 3, 0.5])
-    out = []
-    for n in params.get("sizes", [10, 11, 12]):
-        table = exp.sweep_min_stake_security(
-            n, n, thresholds, exp.degree_grid(n, step)
-        )
-        out.append((f"figure3_n{n}.csv", table))
-    return out
-
-
 def _fractions(n: int, last: int) -> list[float]:
     """Byzantine fractions k/n for k = 0..last, stopping at 1.
 
@@ -209,66 +203,53 @@ def _fractions(n: int, last: int) -> list[float]:
     return [k / n for k in range(min(last, n) + 1)]
 
 
-def _preset_fig4(params: dict) -> list[tuple[str, exp.Table]]:
-    n = params.get("n", 15)
-    budgets = params.get("budgets", [0, 1, 2])
-    step = params.get("degree_step", 0.25)
-    degrees = exp.degree_grid(n, step, 1.0, params.get("degree_max", 6.0))
+# A sweep is a function that returns (file name, table) pairs. Its keyword
+# parameters and their defaults are all that a config entry may set: the
+# checks below read them from its signature.
+
+
+def _preset_fig3(sizes=(10, 11, 12), thresholds=(1 / 3, 0.5), degree_step=0.1):
+    return [
+        (f"figure3_n{n}.csv",
+         exp.sweep_min_stake_security(n, n, thresholds, exp.degree_grid(n, degree_step)))
+        for n in sizes
+    ]
+
+
+def _preset_fig4(n=15, budgets=(0, 1, 2), degree_step=0.25, degree_max=6.0):
+    degrees = exp.degree_grid(n, degree_step, 1.0, degree_max)
     out = []
-    f_grid = _fractions(n, 9)
-    tables = exp.sweep_min_stake_robustness(
-        n, n, 1 / 3, 1.0, budgets, f_grid, degrees
-    )
-    for budget, table in tables.items():
-        out.append((f"figure4_y_stake_budget_{budget:g}.csv", table))
-    f_grid_base = _fractions(n, 10)
-    tables = exp.sweep_min_stake_robustness(
-        n, n, 1 / 3, 1.0, budgets, f_grid_base, degrees, base=(10.0, 1 / 3)
-    )
-    for budget, table in tables.items():
-        out.append(
-            (f"figure4_y_stake_budget_{budget:g}_base_service_10_0.33.csv", table)
+    for last, base, suffix in ((9, None, ""), (10, (10.0, 1 / 3), "_base_service_10_0.33")):
+        tables = exp.sweep_min_stake_robustness(
+            n, n, 1 / 3, 1.0, budgets, _fractions(n, last), degrees, base
         )
+        out += [(f"figure4_y_stake_budget_{b:g}{suffix}.csv", t) for b, t in tables.items()]
     return out
 
 
-def _preset_fig5(params: dict) -> list[tuple[str, exp.Table]]:
-    n = params.get("n", 15)
-    stake = params.get("stake", 10.0)
-    degrees = params.get("degrees", [1.0 + 0.25 * k for k in range(9)])
-    f_grid = params.get("f_grid", _fractions(n, 12))
+def _preset_fig5(n=15, stake=10.0,
+                 degrees=(1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0), f_grid=None):
     template = exp.SweepTemplate(n_validators=n, n_services=n, threshold=1 / 3)
-    table = exp.sweep_failure_threshold(template, stake, degrees, f_grid)
-    return [("figure5.csv", table)]
+    f_grid = _fractions(n, 12) if f_grid is None else f_grid
+    return [("figure5.csv", exp.sweep_failure_threshold(template, stake, degrees, f_grid))]
 
 
-def _preset_fig6(params: dict) -> list[tuple[str, exp.Table]]:
-    n = params.get("n", 15)
-    f_grid = params.get("f_grid", _fractions(n, 9))
+def _preset_fig6(n=15, stakes=(2.4, 5.4, 7.8), degrees=(5 / 3, 45 / 37), f_grid=None):
     table = exp.sweep_failure_decomposition(
-        n, n, 1 / 3, 1.0, 10.0, 1 / 3,
-        stakes=tuple(params.get("stakes", (2.4, 5.4, 7.8))),
-        degrees=tuple(params.get("degrees", (5 / 3, 45 / 37))),
-        f_grid=f_grid,
+        n, n, 1 / 3, 1.0, 10.0, 1 / 3, stakes=tuple(stakes), degrees=tuple(degrees),
+        f_grid=_fractions(n, 9) if f_grid is None else f_grid,
     )
     return [("figure6.csv", table)]
 
 
-def _preset_fig7(params: dict) -> list[tuple[str, exp.Table]]:
-    budgets = params.get("budgets", [0, 1, 2])
-    degrees = params.get("degrees", [1.0, 1.5, 2.0, 2.5, 3.0])
-    f_values = params.get("f_values", [0.0, 1 / 3, 2 / 3])
+def _preset_fig7(budgets=(0, 1, 2), degrees=(1.0, 1.5, 2.0, 2.5, 3.0),
+                 f_values=(0.0, 1 / 3, 2 / 3)):
     tables = exp.sweep_mip_vs_theory(3, 3, 1 / 3, 1.0, budgets, f_values, degrees)
-    return [
-        (f"figure7_budget_{budget:g}.csv", table)
-        for budget, table in tables.items()
-    ]
+    return [(f"figure7_budget_{b:g}.csv", t) for b, t in tables.items()]
 
 
-def _preset_fig8(params: dict) -> list[tuple[str, exp.Table]]:
-    budgets = params.get("budgets", [0, 1, 2])
-    degrees = params.get("degrees", [1.0, 1.5, 2.0, 2.5, 3.0])
-    f_grid = params.get("f_grid", [0.0, 1 / 3, 1 / 2, 2 / 3])
+def _preset_fig8(budgets=(0, 1, 2), degrees=(1.0, 1.5, 2.0, 2.5, 3.0),
+                 f_grid=(0.0, 1 / 3, 1 / 2, 2 / 3)):
     tables = exp.sweep_min_stake_mip(
         3, 3, 1 / 3, 1.0, budgets, f_grid, degrees, base=(10.0, 0.5)
     )
@@ -278,34 +259,24 @@ def _preset_fig8(params: dict) -> list[tuple[str, exp.Table]]:
     ]
 
 
-def _preset_custom(params: dict) -> list[tuple[str, exp.Table]]:
-    kind = params.get("kind")
-    filename = params.get("file", "custom.csv")
-    if kind == "security":
-        table = exp.sweep_min_stake_security(
-            params["n"], params["m"], params["thresholds"],
-            params.get("degrees"),
-        )
-        return [(filename, table)]
-    if kind == "robustness":
-        tables = exp.sweep_min_stake_robustness(
-            params["n"], params["m"], params["threshold"],
-            params.get("prize", 1.0), params["budgets"], params["f_grid"],
-            params.get("degrees"),
-            base=tuple(params["base"]) if params.get("base") else None,
-        )
-        path = Path(filename)
-        return [(f"{path.stem}_budget_{b:g}{path.suffix}", t) for b, t in tables.items()]
-    if kind == "failure":
-        template = exp.SweepTemplate(
-            n_validators=params["n"], n_services=params["m"],
-            threshold=params["threshold"], prize=params.get("prize", 1.0),
-        )
-        table = exp.sweep_failure_threshold(
-            template, params["stake"], params["degrees"], params["f_grid"]
-        )
-        return [(filename, table)]
-    raise InputError(f"unknown custom sweep kind {kind!r}")
+def _custom_security(n, m, thresholds, degrees=None, file="custom.csv"):
+    return [(file, exp.sweep_min_stake_security(n, m, thresholds, degrees))]
+
+
+def _custom_robustness(n, m, threshold, budgets, f_grid, prize=1.0, degrees=None,
+                       base=None, file="custom.csv"):
+    tables = exp.sweep_min_stake_robustness(
+        n, m, threshold, prize, budgets, f_grid, degrees, base
+    )
+    path = Path(file)
+    return [(f"{path.stem}_budget_{b:g}{path.suffix}", t) for b, t in tables.items()]
+
+
+def _custom_failure(n, m, threshold, stake, degrees, f_grid, prize=1.0, file="custom.csv"):
+    template = exp.SweepTemplate(
+        n_validators=n, n_services=m, threshold=threshold, prize=prize
+    )
+    return [(file, exp.sweep_failure_threshold(template, stake, degrees, f_grid))]
 
 
 _PRESETS = {
@@ -315,22 +286,12 @@ _PRESETS = {
     "fig6": _preset_fig6,
     "fig7": _preset_fig7,
     "fig8": _preset_fig8,
-    "custom": _preset_custom,
 }
-
-
-# Preset parameters that hold a grid: a list of numbers.
-_GRID_KEYS = ("sizes", "thresholds", "budgets", "degrees", "f_grid", "f_values", "stakes",
-              "base")
-# Preset parameters that hold one number.
-_SCALAR_KEYS = ("n", "m", "stake", "threshold", "prize", "degree_step", "degree_max")
-# Grids a preset reads as a fixed number of values.
-_GRID_LENGTHS = {("fig6", "stakes"): 3, ("fig6", "degrees"): 2, ("custom", "base"): 2}
-# Parameters a custom sweep of each kind has no default for.
-_CUSTOM_REQUIRED = {
-    "security": ("n", "m", "thresholds"),
-    "robustness": ("n", "m", "threshold", "budgets", "f_grid"),
-    "failure": ("n", "m", "threshold", "stake", "degrees", "f_grid"),
+#: Sweeps of the ``custom`` preset, by ``kind``.
+_CUSTOM = {
+    "security": _custom_security,
+    "robustness": _custom_robustness,
+    "failure": _custom_failure,
 }
 
 
@@ -342,54 +303,79 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
-def _check_entry(entry: dict) -> None:
-    """Raise InputError unless the entry names a preset and its parameters
-    have the types that preset reads."""
-    name = entry.get("name")
-    if not isinstance(name, str) or name not in _PRESETS:
-        raise InputError(f"unknown sweep preset {name!r}; choose from {sorted(_PRESETS)}")
+def _list_of(item, length: int | None = None):
+    """A check for a list of ``length`` items (any number but 0 when None)."""
+    return lambda v: (isinstance(v, list) and all(map(item, v))
+                      and (len(v) == length if length else len(v) > 0))
+
+
+_NUMBER = (_is_number, "a finite number")
+_COUNT = (_is_count, "a positive integer")
+_GRID = (_list_of(_is_number), "a non-empty list of finite numbers")
+
+#: What a sweep parameter must hold, by name: a check and what it asks for.
+_KINDS = {
+    **dict.fromkeys(("n", "m"), _COUNT),
+    **dict.fromkeys(("stake", "threshold", "prize"), _NUMBER),
+    **dict.fromkeys(("thresholds", "budgets", "degrees", "f_grid", "f_values"), _GRID),
+    "sizes": (_list_of(_is_count), "a non-empty list of positive integers"),
+    "degree_step": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    # A lower end would leave the grid from 1 empty.
+    "degree_max": (lambda v: _is_number(v) and v >= 1, "a number of at least 1"),
+    "stakes": (_list_of(_is_number, 3), "a list of 3 finite numbers"),
+    # fig6 reads one degree for the network without a base and one with it.
+    ("fig6", "degrees"): (_list_of(_is_number, 2), "a list of 2 finite numbers"),
+    "base": (_list_of(_is_number, 2), "a list of 2 finite numbers"),
+    "file": (lambda v: isinstance(v, str) and Path(v).name == v and v not in ("", ".."),
+             "a file name, with no directory part"),
+}
+
+
+def _check_entry(entry: dict) -> Callable[[], list[tuple[str, exp.Table]]]:
+    """The call that runs a sweep entry: its preset's function, or its custom
+    kind's, on the entry's other keys. Raise InputError for an unknown preset
+    or kind, a key the function does not take, a required one missing, or a
+    value not of its name's kind."""
+    params = dict(entry)
+    name = params.pop("name", None)
+    if name == "custom":
+        kind = params.pop("kind", None)
+        if not isinstance(kind, str) or kind not in _CUSTOM:
+            raise InputError(
+                f"unknown custom sweep kind {kind!r}; choose from {list(_CUSTOM)}"
+            )
+        sweep, label = _CUSTOM[kind], f"custom {kind}"
+    elif isinstance(name, str) and name in _PRESETS:
+        sweep, label = _PRESETS[name], name
+    else:
+        raise InputError(
+            f"unknown sweep preset {name!r}; choose from {[*_PRESETS, 'custom']}"
+        )
 
     def fail(message: str):
-        raise InputError(f"sweep {name!r}: {message}")
+        raise InputError(f"sweep {label!r}: {message}")
 
-    for key in _GRID_KEYS:
-        grid = entry.get(key)
-        if grid is None:
-            continue
-        if not isinstance(grid, list) or not all(_is_number(v) for v in grid):
-            fail(f"{key!r} must be a list of finite numbers")
-        length = _GRID_LENGTHS.get((name, key))
-        if length is not None and len(grid) != length:
-            fail(f"{key!r} must hold {length} numbers")
-    for key in _SCALAR_KEYS:
-        if key in entry and not _is_number(entry[key]):
-            fail(f"{key!r} must be a finite number")
-    for key in ("n", "m"):
-        if key in entry and not _is_count(entry[key]):
-            fail(f"{key!r} must be a positive integer")
-    if not all(_is_count(n) for n in entry.get("sizes", [])):
-        fail("'sizes' must hold positive integers")
-    if not entry.get("degree_step", 1) > 0:
-        fail("'degree_step' must be positive")
-    file = entry.get("file", "custom.csv")
-    if not isinstance(file, str) or Path(file).name != file or file in ("", ".."):
-        fail("'file' must be a file name, with no directory part")
-    if name == "custom":
-        for key in _CUSTOM_REQUIRED.get(entry.get("kind"), ()):
-            if key not in entry:
-                fail(f"a {entry['kind']} sweep needs {key!r}")
+    signature = inspect.signature(sweep).parameters
+    for key, value in params.items():
+        if key not in signature:
+            fail(f"unknown parameter {key!r}; it takes {list(signature)}")
+        check, what = _KINDS.get((name, key)) or _KINDS[key]
+        if not check(value):
+            fail(f"{key!r} must be {what}")
+    for key, parameter in signature.items():
+        if parameter.default is parameter.empty and key not in params:
+            fail(f"missing parameter {key!r}")
+    return functools.partial(sweep, **params)
 
 
-def _sweep_entries(config) -> list[dict]:
-    """The config's sweep entries, after checking the shape the presets read."""
+def _sweep_entries(config) -> list[Callable[[], list[tuple[str, exp.Table]]]]:
+    """The calls that run the config's sweep entries, all checked before any runs."""
     if not isinstance(config, dict):
         raise InputError("sweep config must be a JSON object")
     sweeps = config.get("sweeps", [])
     if not isinstance(sweeps, list) or not all(isinstance(e, dict) for e in sweeps):
         raise InputError("'sweeps' must be a list of objects")
-    for entry in sweeps:
-        _check_entry(entry)
-    return sweeps
+    return [_check_entry(entry) for entry in sweeps]
 
 
 def cmd_sweep(args) -> int:
@@ -399,8 +385,8 @@ def cmd_sweep(args) -> int:
         return 0
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for entry in sweeps:
-        for filename, table in _PRESETS[entry["name"]](entry):
+    for sweep in sweeps:
+        for filename, table in sweep():
             path = outdir / filename
             exp.write_csv(table, path)
             print(f"{path}: {len(table.rows)} rows")

@@ -97,8 +97,23 @@ def degree_grid(n_services: int, step: float = 0.1, lo: float = 1.0,
 
 
 def _degrees(grid: Sequence[float] | None, n_services: int) -> list[float]:
-    """The given degrees, or the default grid from 1 to n_services."""
-    return list(grid) if grid else degree_grid(n_services)
+    """The given degrees, or the default grid from 1 to n_services when None."""
+    return degree_grid(n_services) if grid is None else list(grid)
+
+
+def _min_stake_tables(cell: Callable, template: SweepTemplate, budgets: Sequence[float],
+                      f_grid: Sequence[float], degrees: Sequence[float],
+                      suffix: str = "") -> dict[float, Table]:
+    """One table per budget of ``cell(template, degree, budget, f)``: a
+    restaking_degree column, then one min_stake_threshold_<f><suffix> per f."""
+    columns = ["restaking_degree"] + [
+        f"min_stake_threshold_{f:.2f}{suffix}" for f in f_grid
+    ]
+    return {
+        budget: Table(columns, _rows(cell, degrees, f_grid,
+                                     lambda d, f: (template, d, budget, f)))
+        for budget in budgets
+    }
 
 
 def sweep_min_stake_security(
@@ -132,23 +147,13 @@ def sweep_min_stake_robustness(
     The base variant adds a service (prize, threshold) to which every
     validator allocates their entire stake.
     """
-    degrees = _degrees(degree_grid, m)
-    if base is None:
-        template = SweepTemplate(n_validators=n, n_services=m, threshold=threshold,
-                                 prize=prize)
-    else:
-        template = SweepTemplate(
-            n_validators=n, n_services=m, threshold=threshold, prize=prize,
-            base_prize=base[0], base_threshold=base[1],
-        )
-    columns = ["restaking_degree"] + [
-        f"min_stake_threshold_{f:.2f}" for f in f_grid
-    ]
-    return {
-        budget: Table(columns, _rows(min_stake_for, degrees, f_grid,
-                                     lambda d, f: (template, d, budget, f)))
-        for budget in budgets
-    }
+    base_prize, base_threshold = base or (None, None)
+    template = SweepTemplate(
+        n_validators=n, n_services=m, threshold=threshold, prize=prize,
+        base_prize=base_prize, base_threshold=base_threshold,
+    )
+    return _min_stake_tables(min_stake_for, template, budgets, f_grid,
+                             _degrees(degree_grid, m))
 
 
 def _budget_cell(template: SweepTemplate, stake, degree, f) -> float:
@@ -274,27 +279,21 @@ def sweep_mip_vs_theory(
     """
     template = SweepTemplate(n_validators=n, n_services=m, threshold=threshold,
                              prize=prize)
-    columns = ["restaking_degree"]
-    for f in f_values:
-        columns.append(f"min_stake_threshold_{f:.2f}_with_milp")
-    for f in f_values:
-        columns.append(f"min_stake_threshold_{f:.2f}_without_milp")
-    columns.append("agree")
+    with_milp = _min_stake_tables(min_stake_mip, template, budgets, f_values,
+                                  degree_grid, "_with_milp")
+    without_milp = _min_stake_tables(min_stake_for, template, budgets, f_values,
+                                     degree_grid, "_without_milp")
     result = {}
-    for budget in budgets:
-        def task(d, f):
-            return template, d, budget, f
-
+    for budget, mip_table in with_milp.items():
+        theory_table = without_milp[budget]
         rows = []
-        for (d, *mips), (_, *theos) in zip(
-            _rows(min_stake_mip, degree_grid, f_values, task),
-            _rows(min_stake_for, degree_grid, f_values, task),
-        ):
+        for (d, *mips), (_, *theos) in zip(mip_table.rows, theory_table.rows):
             agree = all(
                 (math.isnan(a) and math.isnan(b)) or abs(a - b) <= AGREEMENT_TOLERANCE
                 for a, b in zip(mips, theos)
             )
             rows.append([d] + mips + theos + [agree])
+        columns = mip_table.columns + theory_table.columns[1:] + ["agree"]
         result[budget] = Table(columns=columns, rows=rows)
     return result
 
@@ -318,11 +317,4 @@ def sweep_min_stake_mip(
         n_validators=n, n_services=m, threshold=threshold, prize=prize,
         base_prize=base[0], base_threshold=base[1],
     )
-    columns = ["restaking_degree"] + [
-        f"min_stake_threshold_{f:.2f}" for f in f_grid
-    ]
-    return {
-        budget: Table(columns, _rows(min_stake_mip, degree_grid, f_grid,
-                                     lambda d, f: (template, d, budget, f)))
-        for budget in budgets
-    }
+    return _min_stake_tables(min_stake_mip, template, budgets, f_grid, degree_grid)

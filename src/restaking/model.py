@@ -24,7 +24,8 @@ pay their whole stake.
 
 Validation happens where a network enters: constructing a :class:`Network`,
 loading one from a file, or ``dataclasses.replace`` on one checks every
-field (and warns once about each threshold-0 service). What the package
+field (and warns once about each threshold-0 service), on copies of the
+caller's mappings that the network owns. What the package
 derives from a valid network is valid by construction and is not checked
 again: slashing transitions (:func:`apply_byzantine`) and the prize rescale
 of ``experiments.min_stake_mip`` build through the private
@@ -139,6 +140,10 @@ class Network:
     base_services: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        # Own copies, so that a caller's later edits bypass no check and
+        # leave no cached value stale.
+        for name in ("stake", "allocation", "threshold", "prize"):
+            object.__setattr__(self, name, dict(getattr(self, name)))
         object.__setattr__(self, "validators", tuple(self.validators))
         object.__setattr__(self, "services", tuple(self.services))
         object.__setattr__(self, "base_services", frozenset(self.base_services))
@@ -190,6 +195,7 @@ class Network:
 
         Only for transitions inside the package whose output is valid by
         construction; every other path goes through the checked constructor.
+        The mappings are kept, not copied: pass fresh ones or a network's own.
         """
         net = object.__new__(cls)
         net.__dict__.update(validators=validators, services=services, stake=stake,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import os
@@ -308,6 +309,25 @@ class TestCheck:
         assert scale == "\\ scale: 20" and sense == "Maximize"
         assert "capped_v1_" in text and "deficit_s_" in text and "Binaries" in text
 
+    def test_dump_mip_is_the_program_in_dispute(self, tmp_path, capsys):
+        # The witness makes b Byzantine; the dump is the program on the
+        # network that leaves, which has no b and slashed stakes.
+        payload = {
+            "validators": [{"id": "v1", "stake": 10}, {"id": "v2", "stake": 4}],
+            "services": [{"id": "a", "threshold": 0.5, "prize": 3},
+                         {"id": "b", "threshold": 0.5, "prize": 1}],
+            "allocations": [{"validator": "v1", "service": "a", "amount": 10},
+                            {"validator": "v1", "service": "b", "amount": 10},
+                            {"validator": "v2", "service": "b", "amount": 4}],
+        }
+        path = write(tmp_path, "net.json", payload)
+        dump = tmp_path / "program.lp"
+        assert main(["check", path, "--fraction", "1", "--dump-mip", str(dump)]) == 1
+        assert "byzantine services: b" in capsys.readouterr().out
+        lines = dump.read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("\\ scale: ") and lines[1] == "\\ byzantine: b"
+        assert "_b_" not in "\n".join(lines) and "attacked_a_" in lines[3]
+
     def test_oversized_asymmetric_network_is_a_capability_error(self, tmp_path, capsys):
         validators = [{"id": f"v{i}", "stake": 10 + i} for i in range(25)]
         services = [{"id": f"s{j}", "threshold": 0.5, "prize": 1} for j in range(25)]
@@ -601,7 +621,10 @@ class TestSweep:
                                      "f_grid": [0], "base": [10]}]},
                         {"sweeps": [{"name": "custom", "kind": "failure", "n": 3,
                                      "m": 3, "threshold": 0.5, "stake": 1,
-                                     "degrees": [1.0], "f_grid": [0], "file": 3}]}):
+                                     "degrees": [1.0], "f_grid": [0], "file": 3}]},
+                        {"sweeps": [{"name": "fig4", "n": 4, "degree_max": 0.5}]},
+                        {"sweeps": [{"name": "fig3", "sizes": []}]},
+                        {"sweeps": [{"name": "fig6", "n": 4, "f_grid": []}]}):
             config = write(tmp_path, "sweeps.json", payload)
             assert main(["sweep", config, "--out", str(tmp_path / "out")]) == 2, payload
             err = capsys.readouterr().err
@@ -610,6 +633,30 @@ class TestSweep:
         # sweep runs (checked without running one).
         with pytest.raises(InputError, match="degree_step"):
             _sweep_entries({"sweeps": [{"name": "fig3", "degree_step": 0}]})
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"name": "fig7", "n": 15}, "'n'"),
+        ({"name": "fig5", "budget": [7]}, "'budget'"),
+        ({"name": "fig5", "file": "x.csv"}, "'file'"),
+        ({"name": "custom", "kind": "failures", "n": 2}, "'failures'"),
+        ({"name": "custom", "n": 2}, "kind None"),
+        ({"name": "fig6", "n": 4, "degrees": [1.0]}, "'degrees'"),
+        ({"name": "fig3", "sizes": [3], "degree_step": 1, "degree_max": 2}, "'degree_max'"),
+    ])
+    def test_entry_refused_before_any_file_is_written(self, tmp_path, capsys, entry, key):
+        # A key the sweep does not take, an unknown custom kind or a value of
+        # the wrong kind is named, and the valid entry before it writes nothing.
+        valid = {"name": "fig3", "sizes": [2], "degree_step": 1}
+        config = write(tmp_path, "sweeps.json", {"sweeps": [valid, entry]})
+        out = tmp_path / "out"
+        assert main(["sweep", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_every_sweep_parameter_has_a_kind(self):
+        for sweep in [*cli._PRESETS.values(), *cli._CUSTOM.values()]:
+            assert set(inspect.signature(sweep).parameters) <= set(cli._KINDS), sweep
 
     @pytest.mark.parametrize(
         "entry", GOLDEN_SWEEPS, ids=[e.get("kind", e["name"]) for e in GOLDEN_SWEEPS]

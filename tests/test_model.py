@@ -588,3 +588,19 @@ def test_prize_rescale_checks_prizes():
             net._with_prizes({"s": prize})
     with pytest.raises(InputError):
         dataclasses.replace(apply_byzantine(net, ()), prize={"s": -1.0})
+
+
+def test_network_owns_its_mappings():
+    # Edits to the caller's dicts after construction reach neither the
+    # network nor its cached required stakes.
+    fields = dict(stake={"v": 2.0}, allocation={("v", "s"): 1.0},
+                  threshold={"s": 0.5}, prize={"s": 1.0})
+    net = Network(validators=("v",), services=("s",), **fields)
+    assert net.required_stake == {"s": 0.5}
+    fields["threshold"]["s"] = 2.0
+    fields["stake"]["v"] = -1.0
+    fields["allocation"][("v", "s")] = 5.0
+    fields["prize"]["s"] = math.nan
+    assert (net.threshold, net.stake) == ({"s": 0.5}, {"v": 2.0})
+    assert (net.allocation, net.prize) == ({("v", "s"): 1.0}, {"s": 1.0})
+    assert net.required_stake == {"s": 0.5}
