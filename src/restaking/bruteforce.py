@@ -31,14 +31,16 @@ from .model import (
     InputError,
     Network,
     _class_choices,
+    attackable,
+    byzantine_choices,
     capped_attack,
     evaluate_attack,
-    is_beta_costly,
 )
 
 __all__ = [
     "min_cost_attack",
     "best_attack",
+    "oracle_check",
     "min_budget_bruteforce",
     "best_indivisible_attack",
     "has_profitable_indivisible_attack",
@@ -100,6 +102,22 @@ def best_attack(net: Network) -> tuple[float, Attack]:
     return best_margin, capped_attack(net, *best)
 
 
+def oracle_check(net: Network, budget, weight_cap) -> tuple[tuple[str, ...], Attack] | None:
+    """The first violation of (weight cap, budget)-robustness, or None.
+
+    The oracle's check, beside ``find_beta_costly`` and ``mip_check``: the
+    first Byzantine choice whose best attack is
+    :func:`restaking.model.attackable`, with that attack. Exact when the
+    network and the budget are."""
+    if budget < 0:
+        raise InputError("budget must be non-negative")
+    for subset, slashed in byzantine_choices(net, weight_cap):
+        margin, attack = best_attack(slashed)
+        if attackable(margin, budget):
+            return subset, attack
+    return None
+
+
 def min_budget_bruteforce(net: Network) -> float:
     """Supremum of safe adversary budgets, by exhaustive attack search."""
     margin, _ = best_attack(net)
@@ -141,10 +159,7 @@ def best_indivisible_attack(net: Network) -> tuple[float, Attack]:
 
 
 def has_profitable_indivisible_attack(net: Network) -> bool:
-    margin, attack = best_indivisible_attack(net)
-    if margin == -math.inf:
-        return False
-    return is_beta_costly(evaluate_attack(net, attack), 0)
+    return attackable(best_indivisible_attack(net)[0], 0)
 
 
 def build_indivisible_reduction(

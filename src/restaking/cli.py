@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import experiments as exp
 from . import mip as mipmod
-from .bruteforce import _capped_sets, best_attack
+from .bruteforce import _capped_sets, oracle_check
 from .files import load_json, load_network, load_reward_pools
 from .incentives import best_response, equilibrium_allocations
 from .model import (
@@ -40,7 +40,6 @@ from .model import (
     Network,
     _byzantine_representatives,
     apply_byzantine,
-    byzantine_choices,
     byzantine_weight_cap,
     evaluate_attack,
     restaking_degree,
@@ -86,14 +85,6 @@ def _print_witness(net: Network, engine: str, witness: tuple) -> None:
     )
 
 
-def _oracle_engine(net: Network, budget, cap) -> tuple | None:
-    for subset, slashed in byzantine_choices(net, cap):
-        margin, attack = best_attack(slashed)
-        if mipmod.attackable(margin, budget):
-            return subset, attack
-    return None
-
-
 #: Decision engines by name. Each returns the witness ``(byzantine services,
 #: attack on the network they leave)`` of a violation, or None when the
 #: network is robust against ``budget`` after any Byzantine choice of weight
@@ -103,7 +94,7 @@ _ENGINES = {
     # Looked up on the module at each call, so that a wrapper installed on
     # mip.mip_check sees the checks made here.
     "mip": lambda net, budget, cap: mipmod.mip_check(net, budget, cap),
-    "brute-force": _oracle_engine,
+    "brute-force": oracle_check,
 }
 
 
@@ -250,8 +241,9 @@ def _preset_fig7(budgets=(0, 1, 2), degrees=(1.0, 1.5, 2.0, 2.5, 3.0),
 
 def _preset_fig8(budgets=(0, 1, 2), degrees=(1.0, 1.5, 2.0, 2.5, 3.0),
                  f_grid=(0.0, 1 / 3, 1 / 2, 2 / 3)):
-    tables = exp.sweep_min_stake_mip(
-        3, 3, 1 / 3, 1.0, budgets, f_grid, degrees, base=(10.0, 0.5)
+    tables = exp.sweep_min_stake_robustness(
+        3, 3, 1 / 3, 1.0, budgets, f_grid, degrees, base=(10.0, 0.5),
+        engine=exp.min_stake_mip,
     )
     return [
         (f"figure8_y_stake_base_service_10_0.50_loss_threshold_{budget:g}.csv", table)
@@ -335,7 +327,8 @@ def _check_entry(entry: dict) -> Callable[[], list[tuple[str, exp.Table]]]:
     """The call that runs a sweep entry: its preset's function, or its custom
     kind's, on the entry's other keys. Raise InputError for an unknown preset
     or kind, a key the function does not take, a required one missing, or a
-    value not of its name's kind."""
+    value not of its name's kind; the call names the sweep in any InputError
+    raised while it runs."""
     params = dict(entry)
     name = params.pop("name", None)
     if name == "custom":
@@ -365,7 +358,13 @@ def _check_entry(entry: dict) -> Callable[[], list[tuple[str, exp.Table]]]:
     for key, parameter in signature.items():
         if parameter.default is parameter.empty and key not in params:
             fail(f"missing parameter {key!r}")
-    return functools.partial(sweep, **params)
+
+    def run():
+        try:
+            return sweep(**params)
+        except InputError as exc:
+            fail(str(exc))
+    return run
 
 
 def _sweep_entries(config) -> list[Callable[[], list[tuple[str, exp.Table]]]]:
@@ -383,13 +382,14 @@ def cmd_sweep(args) -> int:
     if not sweeps:
         print("warning: no sweeps configured, nothing to do", file=sys.stderr)
         return 0
+    # Every entry runs before any file is written, so a failing one leaves none.
+    tables = [pair for sweep in sweeps for pair in sweep()]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for sweep in sweeps:
-        for filename, table in sweep():
-            path = outdir / filename
-            exp.write_csv(table, path)
-            print(f"{path}: {len(table.rows)} rows")
+    for filename, table in tables:
+        path = outdir / filename
+        exp.write_csv(table, path)
+        print(f"{path}: {len(table.rows)} rows")
     return 0
 
 

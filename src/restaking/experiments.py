@@ -22,6 +22,7 @@ from .model import (
     Attack,
     Network,
     _score,
+    attackable,
     byzantine_choices,
     byzantine_weight_cap,
 )
@@ -35,7 +36,6 @@ __all__ = [
     "sweep_failure_threshold",
     "sweep_failure_decomposition",
     "sweep_mip_vs_theory",
-    "sweep_min_stake_mip",
     "degree_grid",
     "SweepTemplate",
     "min_stake_mip",
@@ -141,19 +141,22 @@ def sweep_min_stake_robustness(
     f_grid: Sequence[float],
     degree_grid: Sequence[float] | None = None,
     base: tuple[float, float] | None = None,
+    engine: Callable[[SweepTemplate, float, float, float], float] = min_stake_for,
 ) -> dict[float, Table]:
     """Minimum stake for (f, budget)-robustness; one table per budget.
 
     The base variant adds a service (prize, threshold) to which every
-    validator allocates their entire stake.
+    validator allocates their entire stake. Each cell is
+    ``engine(template, degree, budget, f)``: the closed form by default, or
+    :func:`min_stake_mip` for a base whose threshold differs from the common
+    one, which puts the network outside the closed form.
     """
     base_prize, base_threshold = base or (None, None)
     template = SweepTemplate(
         n_validators=n, n_services=m, threshold=threshold, prize=prize,
         base_prize=base_prize, base_threshold=base_threshold,
     )
-    return _min_stake_tables(min_stake_for, template, budgets, f_grid,
-                             _degrees(degree_grid, m))
+    return _min_stake_tables(engine, template, budgets, f_grid, _degrees(degree_grid, m))
 
 
 def _budget_cell(template: SweepTemplate, stake, degree, f) -> float:
@@ -252,7 +255,7 @@ def min_stake_mip(
         while math.isfinite(stake):
             prize = {s: p / stake for s, p in slashed.prize.items()}
             profit, attack = mipmod.max_attack_profit(slashed._with_prizes(prize))
-            if not mipmod.attackable(profit * stake, budget):
+            if not attackable(profit * stake, budget):
                 break
             ratio = _cost_ratio(slashed, attack, budget)
             if ratio <= stake * (1 + 1e-12):  # slack for rounding in the ratio
@@ -296,25 +299,3 @@ def sweep_mip_vs_theory(
         columns = mip_table.columns + theory_table.columns[1:] + ["agree"]
         result[budget] = Table(columns=columns, rows=rows)
     return result
-
-
-def sweep_min_stake_mip(
-    n: int,
-    m: int,
-    threshold: float,
-    prize: float,
-    budgets: Sequence[float],
-    f_grid: Sequence[float],
-    degree_grid: Sequence[float],
-    base: tuple[float, float],
-) -> dict[float, Table]:
-    """MIP-only minimum-stake sweep for configurations with an asymmetric base.
-
-    Used when the base service's threshold differs from the common one, which
-    puts the network outside the closed-form machinery.
-    """
-    template = SweepTemplate(
-        n_validators=n, n_services=m, threshold=threshold, prize=prize,
-        base_prize=base[0], base_threshold=base[1],
-    )
-    return _min_stake_tables(min_stake_mip, template, budgets, f_grid, degree_grid)

@@ -24,7 +24,8 @@ witness as every engine returns one (``(Byzantine services, attack)``),
 :func:`max_byzantine_fraction` the lightest, and
 ``experiments.min_stake_mip`` the largest minimum stake. The first two only
 ask whether some attack clears the budget, so their branch and bound runs in
-decision mode and stops at the first attack that does; the third needs the
+decision mode and answers with the first node whose attack does, by the
+float tie rule of :func:`restaking.model.attackable`; the third needs the
 optimum. Every attack returned is read off the program's binaries by
 position (:func:`restaking.model.capped_attack` of its T and C), re-scored
 as ``evaluate_attack`` scores it on the network it was solved on (an attack
@@ -46,11 +47,13 @@ import numpy as np
 
 from .lp import INFEASIBLE, OPTIMAL, LpProblem, LpSolution, solve_lp
 from .model import (
+    TOLERANCE,
     Attack,
     AttackEvaluation,
     InputError,
     Network,
     _score,
+    attackable,
     byzantine_choices,
     capped_attack,
     service_weight,
@@ -66,7 +69,6 @@ __all__ = [
     "build_budget_mip",
     "solve_mip",
     "max_attack_profit",
-    "attackable",
     "min_budget",
     "max_byzantine_fraction",
     "mip_check",
@@ -76,7 +78,8 @@ __all__ = [
 #: Solve precision: integrality tolerance of the binaries.
 PRECISION = 1e-6
 
-_BOUNDARY_TOL = 1e-9
+#: Branch-and-bound nodes a solve may visit.
+_NODE_LIMIT = 200_000
 
 #: Largest gap between a witness's evaluated profit and the optimum the
 #: branch and bound reports, relative to the largest stake or prize.
@@ -109,11 +112,7 @@ class MipSolution:
 
 
 class MipNodeLimitError(RuntimeError):
-    """Node budget exhausted; carries the best incumbent found so far."""
-
-    def __init__(self, message: str, incumbent: MipSolution | None):
-        super().__init__(message)
-        self.incumbent = incumbent
+    """A solve visited more than ``_NODE_LIMIT`` branch-and-bound nodes."""
 
 
 class MipStatusError(RuntimeError):
@@ -174,8 +173,7 @@ def build_budget_mip(net: Network) -> MipProblem:
                       scale=scale)
 
 
-def solve_mip(problem: MipProblem, node_limit: int = 200_000,
-              target: float | None = None) -> MipSolution:
+def solve_mip(problem: MipProblem, target: float | None = None) -> MipSolution:
     """Branch-and-bound over the binary variables.
 
     Best-first on the relaxation bound, branching on the most fractional
@@ -187,10 +185,10 @@ def solve_mip(problem: MipProblem, node_limit: int = 200_000,
 
     With a target the search answers the decision question instead: nodes
     whose bound is strictly worse than the target are pruned (a bound equal
-    to it is kept), and the first integral node is returned; its polished
-    solution reaches the target but need not be optimal. When no node is
-    left the status is BELOW_TARGET. Exceeding the node budget raises
-    :class:`MipNodeLimitError` with the incumbent attached. The target and
+    to it is kept), and the first integral node is returned as it is, with
+    no further LP; it reaches the target but need not be optimal. When no
+    node is left the status is BELOW_TARGET. Visiting more than
+    ``_NODE_LIMIT`` nodes raises :class:`MipNodeLimitError`. The target and
     the objective value returned are in the problem's own units, ``scale``
     times the LP's.
     """
@@ -215,14 +213,14 @@ def solve_mip(problem: MipProblem, node_limit: int = 200_000,
         if key >= cutoff:
             continue
         nodes += 1
-        if nodes > node_limit:
-            inc = None if incumbent is None else _polish(problem, incumbent)
-            raise MipNodeLimitError(f"node limit {node_limit} exceeded", incumbent=inc)
+        if nodes > _NODE_LIMIT:
+            raise MipNodeLimitError(f"node limit {_NODE_LIMIT} exceeded")
         binaries = relax.values[integral]
         fractional = np.abs(binaries - np.round(binaries))
         if not integral.size or fractional.max() <= PRECISION:
             if target is not None:
-                return _polish(problem, relax)
+                return MipSolution(status=OPTIMAL, values=relax.values,
+                                   objective_value=relax.objective_value * problem.scale)
             incumbent, cutoff = relax, key
             continue
         # Most fractional binary; ties resolved toward the lowest index.
@@ -241,7 +239,7 @@ def solve_mip(problem: MipProblem, node_limit: int = 200_000,
 
 
 def _polish(problem: MipProblem, incumbent: LpSolution) -> MipSolution:
-    """Re-solve with every binary pinned at its rounded value.
+    """Re-solve the optimum with every binary pinned at its rounded value.
 
     Guarantees the reported solution is feasible after rounding and that the
     continuous variables are consistent with the integral assignment.
@@ -288,26 +286,21 @@ def max_attack_profit(net: Network) -> tuple[float, Attack]:
 def _attack_within(net: Network, budget) -> tuple[Attack, AttackEvaluation] | None:
     """An attack on net whose profit clears -budget, or None when none does.
 
-    The budget program runs in decision mode at the tie rule of
-    :func:`attackable`; an attack it returns that does not clear the budget
-    once scored as ``evaluate_attack`` scores it raises MipStatusError.
+    The budget program runs in decision mode at the float tie rule of
+    :func:`restaking.model.attackable`; an attack it returns that does not clear
+    the budget once scored as ``evaluate_attack`` scores it raises MipStatusError.
     """
     problem = build_budget_mip(net)
-    solution = solve_mip(problem, target=-budget - _BOUNDARY_TOL)
+    solution = solve_mip(problem, target=-budget - TOLERANCE)
     if solution.status == BELOW_TARGET:
         return None
     attack, evaluation = _witness(net, solution)
-    if not attackable(evaluation.margin, budget):
+    if not attackable(float(evaluation.margin), budget):
         raise MipStatusError(
             f"budget MIP returned an attack scoring {float(evaluation.margin)!r}, "
             f"short of -{budget}"
         )
     return attack, evaluation
-
-
-def attackable(profit, budget) -> bool:
-    """True when an optimal attack profit clears -budget (ties to the attacker)."""
-    return profit >= -budget - _BOUNDARY_TOL
 
 
 def min_budget(net: Network) -> float:

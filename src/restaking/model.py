@@ -11,6 +11,7 @@ All operations are pure and preserve exact numeric types: networks built from
 ints or ``fractions.Fraction`` values are evaluated exactly, while float
 networks use a 1e-9 comparison tolerance with ties resolved toward the
 insecure side (an attack on the boundary counts as feasible / profitable).
+Every engine closes its check with that one rule, :func:`attackable`.
 
 Byzantine choices: :func:`byzantine_subsets` lists every admissible subset,
 the reference; :func:`byzantine_choices` yields one per count vector over
@@ -57,6 +58,7 @@ __all__ = [
     "capped_attack",
     "prize_shares",
     "robustness_utility",
+    "attackable",
     "is_beta_costly",
     "apply_byzantine",
     "byzantine_subsets",
@@ -120,9 +122,9 @@ class Network:
     Attributes:
         validators: validator ids in deterministic (insertion) order.
         services: service ids in deterministic (insertion) order.
-        stake: per-validator stake, non-negative (zero only arises from
-            slashing transitions; fresh networks require positive stake),
-            with a total within float range.
+        stake: per-validator stake, non-negative, with a total within
+            float range. The constructor accepts 0, which slashing leaves;
+            the file loader requires a positive stake.
         allocation: stake pledged per (validator, service) pair; omitted
             pairs are zero.
         threshold: per-service attack threshold in [0, 1].
@@ -407,15 +409,19 @@ def robustness_utility(net: Network, a: Attack, v: str, budget):
     return -evaluation.validator_cost[v]
 
 
+def attackable(margin, budget) -> bool:
+    """True when an attack's margin (prize minus cost) clears -budget: the tie
+    rule of every engine, exact on exact values, else within TOLERANCE."""
+    return _ge(margin, -budget)
+
+
 def is_beta_costly(evaluation: AttackEvaluation, budget) -> bool:
     """True when something was attacked and the prize plus an adversary
     subsidy covers the cost; with budget 0, when the attack is profitable.
     """
     if budget < 0:
         raise InputError("budget must be non-negative")
-    return bool(evaluation.attacked_services) and _le(
-        evaluation.total_cost, evaluation.total_prize + budget
-    )
+    return bool(evaluation.attacked_services) and attackable(evaluation.margin, budget)
 
 
 def apply_byzantine(net: Network, byz: Iterable[str]) -> Network:

@@ -38,8 +38,8 @@ from .model import (
     Network,
     _class_choices,
     _exact,
-    _le,
     apply_byzantine,
+    attackable,
     byzantine_weight_cap,
     capped_attack,
 )
@@ -248,7 +248,7 @@ def find_beta_costly(
     # threshold * n, and with it the capped count, is the same after slashing.
     k, _ = _threshold_split(sym)
     for byz, classes, counts, cost, prize in _consolidated_attacks(sym, weight_cap):
-        if _le(cost, prize + budget):
+        if attackable(prize - cost, budget):
             target = [s for c, (_, ids) in zip(counts, classes) for s in ids[:c]]
             slashed = apply_byzantine(net, byz)
             return byz, capped_attack(slashed, target, net.validators[:k])
@@ -276,9 +276,9 @@ class SweepTemplate:
     """Family of symmetric networks used by the stake sweeps.
 
     Regular services share one threshold and prize and receive the uniform
-    allocation degree * stake / n_services per validator. When a base
-    service is configured, every validator additionally allocates their
-    entire stake to it.
+    allocation degree * stake / n_services per validator. A base service is
+    configured by both ``base_prize`` and ``base_threshold``, or by neither;
+    every validator then additionally allocates their entire stake to it.
     """
 
     n_validators: int
@@ -293,6 +293,8 @@ class SweepTemplate:
             raise InputError("need at least one validator and one service")
         if not 0 < self.threshold <= 1:
             raise InputError("threshold must lie in (0, 1]")
+        if (self.base_prize is None) != (self.base_threshold is None):
+            raise InputError("base_prize and base_threshold must be given together")
         if self.has_base() and not 0 < self.base_threshold <= 1:
             raise InputError("base_threshold must lie in (0, 1]")
 

@@ -16,6 +16,7 @@ from restaking.bruteforce import (
     has_profitable_indivisible_attack,
     min_budget_bruteforce,
     min_cost_attack,
+    oracle_check,
     subset_sum_bruteforce,
 )
 from restaking.experiments import AGREEMENT_TOLERANCE
@@ -30,7 +31,7 @@ from restaking.model import (
     evaluate_attack,
     generalized_eigenlayer_condition,
 )
-from restaking.symmetry import SweepTemplate, max_budget
+from restaking.symmetry import SweepTemplate, find_beta_costly, max_budget
 
 from conftest import as_fractions, random_network
 
@@ -115,6 +116,28 @@ class TestExactArithmetic:
             evaluation = evaluate_attack(net, attack)
             assert set(target) <= evaluation.attacked_services
             assert evaluation.total_cost == cost
+
+    @pytest.mark.parametrize("stakes", [(3, 1), (3, 3)])
+    def test_ties_go_to_the_attacker_exactly(self, stakes):
+        # Threshold 3/4 of the total allocation: the best attack costs exactly
+        # 3 for a prize of 1 on both networks, so its margin is exactly -2.
+        # Budget 2 is a tie, which the attacker wins; a budget short of 2 by
+        # 1e-12, far inside the float tolerance, leaves the network robust.
+        # The second network is symmetric, and the closed form agrees.
+        validators = ("v1", "v2")
+        net = Network(validators, ("s",), dict(zip(validators, stakes)),
+                      {(v, "s"): x for v, x in zip(validators, stakes)},
+                      {"s": Fraction(3, sum(stakes))}, {"s": Fraction(1)})
+        assert best_attack(net)[0] == -2
+        engines = [oracle_check] + [find_beta_costly] * (stakes[0] == stakes[1])
+        for check in engines:
+            byzantine, attack = check(net, Fraction(2), 0)
+            assert byzantine == () and evaluate_attack(net, attack).margin == -2
+            assert check(net, 2 - Fraction(1, 10**12), 0) is None
+
+    def test_oracle_check_refuses_a_negative_budget(self, fig_atomic):
+        with pytest.raises(InputError, match="budget"):
+            oracle_check(fig_atomic, -1, 0)
 
 
 def every_capped_set(net: Network):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from restaking import cli, mip, model
+from restaking import bruteforce, cli, mip, model
 from restaking.bruteforce import best_attack
 from restaking.cli import _sweep_entries, main
 from restaking.files import load_network, load_reward_pools
@@ -364,17 +364,23 @@ class TestCheck:
         assert main(["check", path, "--oracle"]) in (0, 1)
 
     def test_oracle_decides_15x15_template(self, tmp_path, capsys):
-        # Fifteen interchangeable validators: 16 capped sets, not 2^15.
-        net = SweepTemplate(15, 15, 1 / 3, 1.0, 10.0, 0.5).build_network(5.0, 2.0)
-        path = write(tmp_path, "net.json", {
-            "validators": [{"id": v, "stake": net.stake[v]} for v in net.validators],
-            "services": [{"id": s, "threshold": net.threshold[s], "prize": net.prize[s],
-                          "base": s in net.base_services} for s in net.services],
-            "allocations": [{"validator": v, "service": s, "amount": w}
-                            for (v, s), w in net.allocation.items()],
-        })
-        assert main(["check", path, "--fraction", "0.4", "--oracle"]) in (0, 1)
-        assert "brute-force" in capsys.readouterr().out.splitlines()[0]
+        # Fifteen interchangeable validators: 16 capped sets, not 2^15. The
+        # asymmetric base (threshold 1/2) is decided by the MIP and the
+        # oracle, the symmetric one (threshold 1/3) by all three engines.
+        for base_threshold, engines in ((0.5, "mip, brute-force"),
+                                        (1 / 3, "symmetric, mip, brute-force")):
+            template = SweepTemplate(15, 15, 1 / 3, 1.0, 10.0, base_threshold)
+            net = template.build_network(5.0, 2.0)
+            path = write(tmp_path, "net.json", {
+                "validators": [{"id": v, "stake": net.stake[v]} for v in net.validators],
+                "services": [{"id": s, "threshold": net.threshold[s], "prize": net.prize[s],
+                              "base": s in net.base_services} for s in net.services],
+                "allocations": [{"validator": v, "service": s, "amount": w}
+                                for (v, s), w in net.allocation.items()],
+            })
+            assert main(["check", path, "--oracle", "--mip", "--fraction", "0.4"]) in (0, 1)
+            verdict = capsys.readouterr().out.splitlines()[0]
+            assert verdict.startswith("verdict:") and f"(engines: {engines})" in verdict
 
     def test_nan_stake_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "net.json"
@@ -415,7 +421,7 @@ class TestCheck:
             solved.append(net)
             return best_attack(net)
 
-        monkeypatch.setattr(cli, "best_attack", counted)
+        monkeypatch.setattr(bruteforce, "best_attack", counted)
         path = write(tmp_path, "net.json", SIX_IDENTICAL)
         assert main(["check", path, "--fraction", "0.5", "--oracle"]) == 0
         assert len(solved) == 4
@@ -642,10 +648,14 @@ class TestSweep:
         ({"name": "custom", "n": 2}, "kind None"),
         ({"name": "fig6", "n": 4, "degrees": [1.0]}, "'degrees'"),
         ({"name": "fig3", "sizes": [3], "degree_step": 1, "degree_max": 2}, "'degree_max'"),
+        # fig4's default degree_max of 6 exceeds n = 4 services, which shows
+        # only once its cells run.
+        ({"name": "fig4", "n": 4}, "sweep 'fig4': degree must lie"),
     ])
     def test_entry_refused_before_any_file_is_written(self, tmp_path, capsys, entry, key):
-        # A key the sweep does not take, an unknown custom kind or a value of
-        # the wrong kind is named, and the valid entry before it writes nothing.
+        # A key the sweep does not take, an unknown custom kind, a value of the
+        # wrong kind or an input error raised as the entry runs is named, and
+        # the valid entry before it writes nothing.
         valid = {"name": "fig3", "sizes": [2], "degree_step": 1}
         config = write(tmp_path, "sweeps.json", {"sweeps": [valid, entry]})
         out = tmp_path / "out"

@@ -13,7 +13,6 @@ from restaking.experiments import (
     min_stake_mip,
     sweep_failure_decomposition,
     sweep_failure_threshold,
-    sweep_min_stake_mip,
     sweep_min_stake_robustness,
     sweep_min_stake_security,
     sweep_mip_vs_theory,
@@ -137,9 +136,9 @@ class TestMipVsTheory:
             assert all(table.column("agree"))
 
     def test_fig8_configuration_populates(self):
-        tables = sweep_min_stake_mip(
+        tables = sweep_min_stake_robustness(
             3, 3, 1 / 3, 1.0, budgets=[0], f_grid=[0.0, 1 / 3, 1 / 2],
-            degree_grid=[1.5], base=(10.0, 0.5),
+            degree_grid=[1.5], base=(10.0, 0.5), engine=min_stake_mip,
         )
         table = tables[0]
         row = table.rows[0]
@@ -148,9 +147,9 @@ class TestMipVsTheory:
     def test_f_third_and_half_coincide_with_base(self):
         # With three weight-3 services, caps 3 and 4.5 admit the same
         # Byzantine sets, so the stake requirements must coincide.
-        tables = sweep_min_stake_mip(
+        tables = sweep_min_stake_robustness(
             3, 3, 1 / 3, 1.0, budgets=[1], f_grid=[1 / 3, 1 / 2],
-            degree_grid=[1.0, 2.0], base=(10.0, 0.5),
+            degree_grid=[1.0, 2.0], base=(10.0, 0.5), engine=min_stake_mip,
         )
         table = tables[1]
         third = table.column("min_stake_threshold_0.33")

@@ -296,20 +296,42 @@ class TestSolveMip:
         assert first.objective_value == second.objective_value
         assert np.array_equal(first.values, second.values)
 
-    def test_node_limit_carries_incumbent(self):
+    def test_node_limit_raises(self, monkeypatch):
         from restaking.mip import MipNodeLimitError
 
+        monkeypatch.setattr(mip, "_NODE_LIMIT", 2)
         rng = random.Random(47)
         tripped = 0
         for _ in range(20):
             net = random_network(rng, max_validators=4, max_services=4)
             try:
-                solve_mip(build_budget_mip(net), node_limit=2)
-            except MipNodeLimitError as err:
+                solve_mip(build_budget_mip(net))
+            except MipNodeLimitError:
                 tripped += 1
-                if err.incumbent is not None:
-                    assert err.incumbent.status == OPTIMAL
         assert tripped >= 1
+
+    def test_decision_answer_is_its_node(self, half_allocated, monkeypatch):
+        # A decision solve returns the first node that reaches the target as
+        # it is, with no LP after it: the root relaxation of half_allocated is
+        # integral, so one LP answers. Elsewhere the root and two children per
+        # branching are all the LPs, an odd count, and the answer is one of them.
+        solved = []
+        real = mip.solve_lp
+        monkeypatch.setattr(mip, "solve_lp",
+                            lambda *args, **kwargs: solved.append(real(*args, **kwargs))
+                            or solved[-1])
+        solution = solve_mip(build_budget_mip(half_allocated), target=-1.0)
+        assert len(solved) == 1 and solution.values is solved[0].values
+        rng = random.Random(48)
+        for _ in range(10):
+            net = random_network(rng)
+            solved.clear()
+            # Every attack profits more than minus the total stake.
+            solution = solve_mip(build_budget_mip(net),
+                                 target=-sum(net.stake.values()) - 1)
+            assert solution.status == OPTIMAL
+            assert len(solved) % 2 == 1
+            assert any(solution.values is lp.values for lp in solved)
 
     def test_node_bounds_dominate_children(self):
         rng = random.Random(46)

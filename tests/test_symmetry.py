@@ -13,6 +13,7 @@ from restaking.bruteforce import best_attack, min_budget_bruteforce, min_cost_at
 from restaking.experiments import min_stake_mip
 from restaking.model import (
     Attack,
+    InputError,
     Network,
     _le,
     apply_byzantine,
@@ -295,6 +296,18 @@ class TestFBetaRobust:
             ev = evaluate_attack(apply_byzantine(net, byzantine), attack)
             assert ev.attacked_services
             assert ev.margin >= -budget - tol
+
+
+class TestSweepTemplate:
+    @pytest.mark.parametrize("half", [
+        {"base_prize": 10.0},
+        {"base_threshold": 0.5},
+    ])
+    def test_half_a_base_service_is_refused(self, half):
+        # Either half alone used to fail late (a TypeError on the missing
+        # threshold) or to drop the base silently (a threshold alone).
+        with pytest.raises(InputError, match="base_prize and base_threshold"):
+            SweepTemplate(3, 3, 1 / 3, 1.0, **half)
 
 
 class TestMinStake:
