@@ -30,6 +30,7 @@ from .model import (
     Attack,
     InputError,
     Network,
+    _check_nonnegative,
     _class_choices,
     attackable,
     byzantine_choices,
@@ -109,8 +110,7 @@ def oracle_check(net: Network, budget, weight_cap) -> tuple[tuple[str, ...], Att
     first Byzantine choice whose best attack is
     :func:`restaking.model.attackable`, with that attack. Exact when the
     network and the budget are."""
-    if budget < 0:
-        raise InputError("budget must be non-negative")
+    _check_nonnegative("budget", budget)
     for subset, slashed in byzantine_choices(net, weight_cap):
         margin, attack = best_attack(slashed)
         if attackable(margin, budget):

@@ -39,6 +39,7 @@ from .model import (
     InputError,
     Network,
     _byzantine_representatives,
+    _finite,
     apply_byzantine,
     byzantine_weight_cap,
     evaluate_attack,
@@ -111,11 +112,8 @@ def _engine_names(net: Network, cap, mip: bool, oracle: bool) -> list[str]:
         names.append("mip")
     if oracle:
         # Slashing can merge validator classes but never split them, so the
-        # intact network has the most capped sets. The choice that leaves no
-        # service is not scanned, so it does not count.
-        choices = (s for s in _byzantine_representatives(net, cap)
-                   if len(s) < len(net.services))
-        for scan in (_capped_sets(net), choices):
+        # intact network has the most capped sets.
+        for scan in (_capped_sets(net), _byzantine_representatives(net, cap)):
             if len(list(islice(scan, _ORACLE_LIMIT + 1))) > _ORACLE_LIMIT:
                 raise InputError(
                     f"network too large for the brute-force oracle (more than "
@@ -288,7 +286,7 @@ _CUSTOM = {
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v)
 
 
 def _is_count(v) -> bool:

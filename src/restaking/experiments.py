@@ -20,7 +20,10 @@ from typing import Callable, Sequence
 from . import mip as mipmod
 from .model import (
     Attack,
+    InputError,
     Network,
+    _check_nonnegative,
+    _finite,
     _score,
     attackable,
     byzantine_choices,
@@ -84,7 +87,12 @@ def _rows(fn: Callable, xs: Sequence, ys: Sequence, task: Callable) -> list[list
 
 def degree_grid(n_services: int, step: float = 0.1, lo: float = 1.0,
                  hi: float | None = None) -> list[float]:
+    """Degrees lo, lo + step, ... up to hi (n_services when None), rounded to
+    10 decimals; InputError for a step that is not positive and finite, or an
+    end that is not finite, since the grid would then never end."""
     hi = n_services if hi is None else hi
+    if not (_finite(step) and step > 0 and _finite(lo) and _finite(hi)):
+        raise InputError("degree grid needs a positive finite step and finite ends")
     grid = []
     k = 0
     while True:
@@ -245,6 +253,7 @@ def min_stake_mip(
     to the attacker), robust above; nan when some choice leaves an attack
     that costs nothing.
     """
+    _check_nonnegative("budget", budget)
     unit = template.build_network(1.0, degree)
     cap = byzantine_weight_cap(unit, f)
     stake = 0.0

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .model import InputError, Network, restaking_degree
+from .model import InputError, Network, _check_total, _finite, restaking_degree
 
 __all__ = [
     "RewardPools",
@@ -30,17 +30,24 @@ _GATE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RewardPools:
-    """Per-service reward pools and the target restaking degree."""
+    """Per-service reward pools and the target restaking degree.
+
+    The pools own a copy of the caller's ``reward`` mapping, so later edits
+    to it bypass no check. Each reward and the target degree must be
+    positive and finite, and the rewards must total within float range.
+    """
 
     reward: Mapping[str, float]
     target_degree: float
 
     def __post_init__(self):
-        if not 0 < self.target_degree < math.inf:
+        object.__setattr__(self, "reward", dict(self.reward))
+        if not (_finite(self.target_degree) and self.target_degree > 0):
             raise InputError("target_degree must be positive and finite")
         for s, r in self.reward.items():
-            if not 0 < r < math.inf:
+            if not (_finite(r) and r > 0):
                 raise InputError(f"reward must be positive and finite (service {s!r})")
+        _check_total(self.reward.values(), "rewards: total")
 
     def total(self):
         return sum(self.reward.values())

@@ -50,8 +50,8 @@ from .model import (
     TOLERANCE,
     Attack,
     AttackEvaluation,
-    InputError,
     Network,
+    _check_nonnegative,
     _score,
     attackable,
     byzantine_choices,
@@ -333,8 +333,7 @@ def mip_check(net: Network, budget, weight_cap) -> tuple[tuple[str, ...], Attack
     the budget. The first subset that can is returned with its witness:
     ``(Byzantine services, attack on the network they leave)``.
     """
-    if budget < 0:
-        raise InputError("budget must be non-negative")
+    _check_nonnegative("budget", budget)
     for subset, slashed in byzantine_choices(net, weight_cap):
         found = _attack_within(slashed, budget)
         if found is not None:
@@ -353,8 +352,7 @@ def max_byzantine_fraction(net: Network, budget) -> float:
     Byzantine set breaks the network, 0.0 that the intact network is already
     attackable at this budget.
     """
-    if budget < 0:
-        raise InputError("budget must be non-negative")
+    _check_nonnegative("budget", budget)
     total = total_byzantine_weight(net)
     collapse = budget <= 0 and not net.base_services and 0 < total < math.inf
     best = total if collapse else math.inf

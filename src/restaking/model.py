@@ -26,7 +26,10 @@ pay their whole stake.
 Validation happens where a network enters: constructing a :class:`Network`,
 loading one from a file, or ``dataclasses.replace`` on one checks every
 field (and warns once about each threshold-0 service), on copies of the
-caller's mappings that the network owns. What the package
+caller's mappings that the network owns; each range rule of a network is
+stated there once, and the file loader adds only what a file needs. Every
+engine refuses a negative or NaN budget, cap or fraction by one rule, and
+one test decides what counts as a finite number. What the package
 derives from a valid network is valid by construction and is not checked
 again: slashing transitions (:func:`apply_byzantine`) and the prize rescale
 of ``experiments.min_stake_mip`` build through the private
@@ -48,7 +51,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "InputError",
     "Network",
-    "check_total",
     "Attack",
     "AttackEvaluation",
     "PrizeShares",
@@ -83,15 +85,31 @@ def _exact(*values) -> bool:
     return all(isinstance(v, numbers.Rational) for v in values)
 
 
-def check_total(values, where: str) -> None:
-    """Raise InputError, naming where, when the values sum beyond float range."""
-    total = sum(values)
+def _finite(x) -> bool:
+    """The one finite-number test: False for NaN, infinities and integers
+    too large for a float."""
     try:
-        finite = math.isfinite(total)
+        return math.isfinite(x)
     except OverflowError:
-        raise InputError(f"{where}: integer too large for a float") from None
-    if not finite:
-        raise InputError(f"{where}: must be finite, got {total!r}")
+        return False
+
+
+def _check_total(values, where: str) -> None:
+    """Raise InputError, naming where, when the values sum beyond float range."""
+    if not _finite(sum(values)):
+        raise InputError(f"{where}: must be finite and within float range")
+
+
+def _check_nonnegative(name: str, value) -> None:
+    """The one rule for budgets, caps and fractions: NaN fails it too."""
+    if not value >= 0:
+        raise InputError(f"{name} must be non-negative, got {value!r}")
+
+
+def _repeated(ids: Sequence[str]) -> str:
+    """The first id that ids repeats; only called once a repeat is known."""
+    seen = set()
+    return next(i for i in ids if i in seen or seen.add(i))
 
 
 def _le(a, b) -> bool:
@@ -151,9 +169,9 @@ class Network:
         object.__setattr__(self, "base_services", frozenset(self.base_services))
         vset, sset = set(self.validators), set(self.services)
         if len(vset) != len(self.validators):
-            raise InputError("duplicate validator ids")
+            raise InputError(f"duplicate validator id {_repeated(self.validators)!r}")
         if len(sset) != len(self.services):
-            raise InputError("duplicate service ids")
+            raise InputError(f"duplicate service id {_repeated(self.services)!r}")
         for v in self.validators:
             if v not in self.stake:
                 raise InputError(f"missing stake for validator {v!r}")
@@ -161,14 +179,14 @@ class Network:
                 raise InputError(
                     f"stake: must be non-negative and finite (validator {v!r})"
                 )
-        check_total((self.stake[v] for v in self.validators), "validators: total stake")
+        _check_total((self.stake[v] for v in self.validators), "validators: total stake")
         for s in self.services:
             if s not in self.threshold or s not in self.prize:
                 raise InputError(f"missing threshold or prize for service {s!r}")
             if not (0 <= self.threshold[s] <= 1):
                 raise InputError(f"threshold: must lie in [0, 1] (service {s!r})")
             _check_prize(s, self.prize[s])
-        check_total((self.prize[s] for s in self.services), "services: total prize")
+        _check_total((self.prize[s] for s in self.services), "services: total prize")
         for (v, s), w in self.allocation.items():
             if v not in vset:
                 raise InputError(f"allocation: unknown validator {v!r}")
@@ -209,7 +227,7 @@ class Network:
         """This network with other prizes, of which only the prizes are checked."""
         for s in self.services:
             _check_prize(s, prize[s])
-        check_total((prize[s] for s in self.services), "services: total prize")
+        _check_total((prize[s] for s in self.services), "services: total prize")
         return Network._trusted(self.validators, self.services, self.stake,
                                 self.allocation, self.threshold, prize, self.base_services)
 
@@ -399,8 +417,7 @@ def robustness_utility(net: Network, a: Attack, v: str, budget):
     The subsidy is paid only if at least one service is attacked. Budget 0
     is the security game: the validator's prize share minus its cost.
     """
-    if budget < 0:
-        raise InputError("budget must be non-negative")
+    _check_nonnegative("budget", budget)
     evaluation = evaluate_attack(net, a)
     if evaluation.attacked_services:
         shares = prize_shares(net, evaluation)
@@ -419,8 +436,7 @@ def is_beta_costly(evaluation: AttackEvaluation, budget) -> bool:
     """True when something was attacked and the prize plus an adversary
     subsidy covers the cost; with budget 0, when the attack is profitable.
     """
-    if budget < 0:
-        raise InputError("budget must be non-negative")
+    _check_nonnegative("budget", budget)
     return bool(evaluation.attacked_services) and attackable(evaluation.margin, budget)
 
 
@@ -486,8 +502,7 @@ def byzantine_weight_cap(net: Network, fraction):
     Zero fraction always means a zero cap, even when a threshold-0 service
     makes the total weight infinite.
     """
-    if fraction < 0:
-        raise InputError("fraction must be non-negative")
+    _check_nonnegative("fraction", fraction)
     if fraction == 0:
         return 0
     total = total_byzantine_weight(net)
@@ -507,8 +522,7 @@ def byzantine_subsets(net: Network, weight_cap) -> Iterator[tuple[str, ...]]:
     order, so iteration is deterministic. Services with threshold 0 have
     infinite weight and appear only under an infinite cap.
     """
-    if weight_cap < 0:
-        raise InputError("weight_cap must be non-negative")
+    _check_nonnegative("weight_cap", weight_cap)
     eligible = [s for s in net.services if s not in net.base_services]
     weights = {s: service_weight(net, s) for s in eligible}
     for size in range(len(eligible) + 1):
@@ -529,8 +543,7 @@ def _class_choices(eligible: Sequence[str], key: Callable[[str], Hashable],
     that many members of each class. Choices come in :func:`byzantine_subsets`
     order, of which each representative is its count vector's first subset.
     """
-    if not weight_cap >= 0:  # written so that NaN fails too
-        raise InputError("weight_cap must be non-negative")
+    _check_nonnegative("weight_cap", weight_cap)
     members: dict[Hashable, list[int]] = {}
     for pos, s in enumerate(eligible):
         members.setdefault(key(s), []).append(pos)
@@ -565,24 +578,23 @@ def byzantine_choices(net: Network, weight_cap) -> Iterator[tuple[tuple[str, ...
     Services with equal threshold, prize and allocations are interchangeable:
     subsets drawing as many from each class leave the same network up to
     renaming. Each is the first of its kind in :func:`byzantine_subsets`
-    order, and they come in that order; those that leave no service are
-    skipped.
+    order, and they come in that order; the one that takes every service
+    leaves nothing to attack and is not yielded.
     """
     for subset in _byzantine_representatives(net, weight_cap):
-        slashed = apply_byzantine(net, subset)
-        if slashed.services:
-            yield subset, slashed
+        yield subset, apply_byzantine(net, subset)
 
 
 def _byzantine_representatives(net: Network, weight_cap) -> Iterator[tuple[str, ...]]:
     """The subsets :func:`byzantine_choices` slashes, unslashed: one per count
-    vector over classes of interchangeable services, the one that leaves no
-    service included."""
+    vector over classes of interchangeable services, less the one that takes
+    every service."""
     eligible = [s for s in net.services if s not in net.base_services]
     column = lambda s: tuple(net.w(v, s) for v in net.validators)
     key = lambda s: (net.threshold[s], net.prize[s], column(s))
     for _, subset in _class_choices(eligible, key, lambda s: service_weight(net, s), weight_cap):
-        yield subset
+        if len(subset) < len(net.services):
+            yield subset
 
 
 def eigenlayer_condition(net: Network) -> bool:

@@ -36,6 +36,7 @@ from .model import (
     Attack,
     InputError,
     Network,
+    _check_nonnegative,
     _class_choices,
     _exact,
     apply_byzantine,
@@ -242,8 +243,7 @@ def find_beta_costly(
     in service order; the attack is built on ``net`` after slashing, so it
     names the caller's validators and fits their stakes.
     """
-    if budget < 0:
-        raise InputError("budget must be non-negative")
+    _check_nonnegative("budget", budget)
     sym = _compact(net)
     # threshold * n, and with it the capped count, is the same after slashing.
     k, _ = _threshold_split(sym)
@@ -362,8 +362,7 @@ def min_stake_for(template: SweepTemplate, degree, budget, f) -> float:
     cost that small is taken as free. Every finite result is therefore
     below (prize + budget) * 1e9.
     """
-    if budget < 0:
-        raise InputError("budget must be non-negative")
+    _check_nonnegative("budget", budget)
     unit = template.build_network(1.0, degree)
     cap = byzantine_weight_cap(unit, f)
     stake = max(

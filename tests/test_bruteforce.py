@@ -19,8 +19,8 @@ from restaking.bruteforce import (
     oracle_check,
     subset_sum_bruteforce,
 )
-from restaking.experiments import AGREEMENT_TOLERANCE
-from restaking.mip import min_budget
+from restaking.experiments import AGREEMENT_TOLERANCE, min_stake_mip
+from restaking.mip import max_byzantine_fraction, min_budget, mip_check
 from restaking.model import (
     Attack,
     InputError,
@@ -30,8 +30,9 @@ from restaking.model import (
     byzantine_weight_cap,
     evaluate_attack,
     generalized_eigenlayer_condition,
+    is_beta_costly,
 )
-from restaking.symmetry import SweepTemplate, find_beta_costly, max_budget
+from restaking.symmetry import SweepTemplate, find_beta_costly, max_budget, min_stake_for
 
 from conftest import as_fractions, random_network
 
@@ -136,8 +137,28 @@ class TestExactArithmetic:
             assert check(net, 2 - Fraction(1, 10**12), 0) is None
 
     def test_oracle_check_refuses_a_negative_budget(self, fig_atomic):
-        with pytest.raises(InputError, match="budget"):
-            oracle_check(fig_atomic, -1, 0)
+        for budget in (-1, math.nan):
+            with pytest.raises(InputError, match="budget"):
+                oracle_check(fig_atomic, budget, 0)
+
+    @pytest.mark.parametrize("budget", [-1, math.nan])
+    def test_every_engine_refuses_a_negative_or_nan_budget(self, budget):
+        # Insecure, so an engine that let NaN through would answer something.
+        net = Network(("v1", "v2"), ("s",), {"v1": 1, "v2": 1},
+                      {("v1", "s"): 1, ("v2", "s"): 1}, {"s": 0.5}, {"s": 5})
+        template = SweepTemplate(3, 3, 1 / 3)
+        attack = evaluate_attack(net, Attack(stake_used={("v1", "s"): 1}))
+        for decide in (
+            lambda: find_beta_costly(net, budget, 0),
+            lambda: mip_check(net, budget, 0),
+            lambda: oracle_check(net, budget, 0),
+            lambda: max_byzantine_fraction(net, budget),
+            lambda: min_stake_for(template, 1.0, budget, 0),
+            lambda: min_stake_mip(template, 1.0, budget, 0),
+            lambda: is_beta_costly(attack, budget),
+        ):
+            with pytest.raises(InputError, match="budget"):
+                decide()
 
 
 def every_capped_set(net: Network):

@@ -70,6 +70,25 @@ SIX_IDENTICAL = {
 }
 
 
+def negative_entries():
+    """One sweep entry per finite-number parameter of every preset and custom
+    kind, set to -1 (a list of -1 for a grid), with the label its errors
+    carry. Counts, steps and file names already refuse -1 by their kind."""
+    required = {"n": 3, "m": 3, "threshold": 0.5, "thresholds": [0.5], "stake": 1,
+                "budgets": [0], "f_grid": [0], "degrees": [1.0]}
+    sweeps = [({"name": name}, name, sweep) for name, sweep in cli._PRESETS.items()]
+    sweeps += [({"name": "custom", "kind": kind}, f"custom {kind}", sweep)
+               for kind, sweep in cli._CUSTOM.items()]
+    for head, label, sweep in sweeps:
+        params = inspect.signature(sweep).parameters
+        needed = {k: required[k] for k, p in params.items() if p.default is p.empty}
+        for key in params:
+            check, _ = cli._KINDS.get((head["name"], key)) or cli._KINDS[key]
+            value = next((v for v in (-1, [-1], [-1] * 2, [-1] * 3) if check(v)), None)
+            if value is not None:
+                yield {**head, **needed, key: value}, f"sweep {label!r}"
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -651,6 +670,11 @@ class TestSweep:
         # fig4's default degree_max of 6 exceeds n = 4 services, which shows
         # only once its cells run.
         ({"name": "fig4", "n": 4}, "sweep 'fig4': degree must lie"),
+        # Every engine refuses a negative budget, the MIP's minimum stake too.
+        ({"name": "fig8", "budgets": [-1]}, "sweep 'fig8': budget"),
+        ({"name": "fig8", "budgets": [-100]}, "sweep 'fig8': budget"),
+        ({"name": "fig5", "stake": 10**400}, "'stake'"),
+        *negative_entries(),
     ])
     def test_entry_refused_before_any_file_is_written(self, tmp_path, capsys, entry, key):
         # A key the sweep does not take, an unknown custom kind, a value of the

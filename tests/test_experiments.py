@@ -18,7 +18,7 @@ from restaking.experiments import (
     sweep_mip_vs_theory,
     write_csv,
 )
-from restaking.model import apply_byzantine, byzantine_subsets, byzantine_weight_cap
+from restaking.model import InputError, apply_byzantine, byzantine_subsets, byzantine_weight_cap
 from restaking.symmetry import SweepTemplate
 
 
@@ -208,3 +208,12 @@ def test_degree_grid_bounds():
     grid = degree_grid(3, 0.5)
     assert grid[0] == 1.0 and grid[-1] == 3.0
     assert len(grid) == 5
+
+
+@pytest.mark.parametrize("step, lo, hi", [
+    (0, 1.0, None), (-0.5, 1.0, None), (math.nan, 1.0, None), (math.inf, 1.0, None),
+    (0.5, math.nan, None), (0.5, -math.inf, None), (0.5, 1.0, math.nan), (0.5, 1.0, math.inf),
+])
+def test_degree_grid_that_never_ends_is_refused(step, lo, hi):
+    with pytest.raises(InputError, match="degree grid"):
+        degree_grid(3, step, lo, hi)

@@ -49,6 +49,8 @@ def test_base_flag(tmp_path):
     "mutate, fragment",
     [
         (lambda p: p["validators"].append({"id": "v1", "stake": 3}), "duplicate"),
+        (lambda p: p["services"].append({"id": "s", "threshold": 0.5, "prize": 1}),
+         "duplicate service id 's'"),
         (lambda p: p["validators"].__setitem__(0, {"id": "v1", "stake": -1}), "stake"),
         (lambda p: p["validators"].__setitem__(0, {"id": "v1"}), "stake"),
         (lambda p: p["services"].__setitem__(0, {"id": "s", "threshold": 1.5, "prize": 5}), "threshold"),

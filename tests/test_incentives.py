@@ -53,11 +53,19 @@ def random_instance(rng):
         ({"a": 1.0}, math.nan),
         ({"a": 1.0}, math.inf),
         ({"a": 1.0}, 0.0),
+        ({"a": 1e308, "b": 1e308}, 1.0),
     ],
 )
 def test_reward_pools_reject_non_positive_or_non_finite(reward, target):
     with pytest.raises(InputError):
         RewardPools(reward=reward, target_degree=target)
+
+
+def test_reward_pools_own_their_rewards():
+    reward = {"a": 1.0, "b": 2.0}
+    pools = RewardPools(reward=reward, target_degree=1.0)
+    reward["a"] = -5.0
+    assert pools.reward == {"a": 1.0, "b": 2.0}
 
 
 class TestValidatorReward:

@@ -17,6 +17,7 @@ from restaking.model import (
     attacked_services,
     byzantine_choices,
     byzantine_subsets,
+    byzantine_weight_cap,
     eigenlayer_condition,
     evaluate_attack,
     generalized_eigenlayer_condition,
@@ -190,8 +191,9 @@ class TestUtilities:
                 assert robustness_utility(net, attack, v, 0) == game
 
     def test_negative_budget_rejected(self, fig_atomic):
-        with pytest.raises(InputError):
-            robustness_utility(fig_atomic, Attack(stake_used={}), "v1", -1)
+        for budget in (-1, math.nan):
+            with pytest.raises(InputError):
+                robustness_utility(fig_atomic, Attack(stake_used={}), "v1", budget)
 
 
 class TestProfitability:
@@ -372,9 +374,14 @@ class TestByzantineChoices:
         assert [subset for subset, _ in choices] == [(), ("a",), ("a", "b")]
 
     def test_negative_or_nan_cap_rejected(self):
+        net = three_identical_services()
         for cap in (-1, math.nan):
             with pytest.raises(InputError):
-                list(byzantine_choices(three_identical_services(), cap))
+                list(byzantine_choices(net, cap))
+            with pytest.raises(InputError):
+                list(byzantine_subsets(net, cap))
+            with pytest.raises(InputError):
+                byzantine_weight_cap(net, cap)
 
 
 class TestSufficientConditions:
