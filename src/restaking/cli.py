@@ -126,19 +126,21 @@ def _engine_names(net: Network, cap, mip: bool, oracle: bool) -> list[str]:
 def cmd_check(args) -> int:
     net = load_network(args.network)
     budget = args.budget
-    if not 0 <= budget < math.inf:  # written so that NaN fails too
-        raise InputError("--budget must be non-negative and finite")
+    # Signs are every engine's rule (and byzantine_weight_cap's); the flags
+    # add finiteness and the upper end of a fraction.
+    for flag, value in (("--budget", budget), ("--fraction", args.fraction),
+                        ("--weight-cap", args.weight_cap)):
+        if value is not None and not _finite(value):
+            raise InputError(f"{flag} must be finite")
     if args.weight_cap is not None and args.fraction is not None:
         raise InputError("--fraction and --weight-cap are mutually exclusive")
     if args.weight_cap is not None:
         cap = args.weight_cap
-        if not 0 <= cap < math.inf:
-            raise InputError("--weight-cap must be non-negative and finite")
         total = total_byzantine_weight(net)
         fraction = min(1.0, cap / total) if total > 0 else 0.0
     else:
         fraction = 0.0 if args.fraction is None else args.fraction
-        if not 0 <= fraction <= 1:
+        if fraction > 1:
             raise InputError("--fraction must lie in [0, 1]")
         cap = byzantine_weight_cap(net, fraction)
 

@@ -85,14 +85,24 @@ def _rows(fn: Callable, xs: Sequence, ys: Sequence, task: Callable) -> list[list
     return [[x] + [fn(*task(x, y)) for y in ys] for x in xs]
 
 
+#: The most degrees a grid may hold; a finer or longer one is refused before
+#: it is built, as it would exhaust memory before its first cell ran.
+_MAX_DEGREES = 10**5
+
+
 def degree_grid(n_services: int, step: float = 0.1, lo: float = 1.0,
                  hi: float | None = None) -> list[float]:
     """Degrees lo, lo + step, ... up to hi (n_services when None), rounded to
-    10 decimals; InputError for a step that is not positive and finite, or an
-    end that is not finite, since the grid would then never end."""
+    10 decimals; InputError for a step that is not positive and finite, an
+    end that is not finite or lies above n_services, where every cell would
+    fail, or more than _MAX_DEGREES degrees."""
     hi = n_services if hi is None else hi
     if not (_finite(step) and step > 0 and _finite(lo) and _finite(hi)):
         raise InputError("degree grid needs a positive finite step and finite ends")
+    if hi > n_services:
+        raise InputError("degree must lie in [0, n_services] for the uniform allocation")
+    if (hi - lo) / step >= _MAX_DEGREES:
+        raise InputError(f"degree grid would hold more than {_MAX_DEGREES} degrees")
     grid = []
     k = 0
     while True:

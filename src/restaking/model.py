@@ -15,8 +15,11 @@ Every engine closes its check with that one rule, :func:`attackable`.
 
 Byzantine choices: :func:`byzantine_subsets` lists every admissible subset,
 the reference; :func:`byzantine_choices` yields one per count vector over
-classes of interchangeable services from the generator the closed form in
-``symmetry`` reduces too, so every engine visits the same choices in order.
+classes of interchangeable services from the generator that the closed form
+in ``symmetry`` reduces as well, so every engine visits the same choices in
+order. Every engine slashes a choice by one rule, that of
+:func:`apply_byzantine`: the closed form applies it to one validator's
+stake and allocation row, the other engines call it.
 
 Witnesses: every engine reports a violation as ``(Byzantine services, attack
 on the network they leave)``, and builds the attack with

@@ -4,24 +4,26 @@ In a symmetric network (equal stakes, equal per-service allocation columns,
 one common threshold) every attack can be replaced by a canonical
 consolidated attack with the same prize and no higher cost: the first
 floor(threshold * n) validators commit their full allocation and one more
-validator commits the fractional remainder. Security and robustness checks
-therefore reduce to evaluating a closed-form cost over subsets of services,
-and subsets only matter through their (allocation, prize) class counts, so
-the enumeration is polynomial per class. Byzantine choices come from the
+validator commits the fractional remainder. One validator's stake and
+allocation row therefore decide every cost, security and robustness checks
+reduce to evaluating a closed-form cost over subsets of services, and
+subsets only matter through their (allocation, prize) class counts, so the
+enumeration is polynomial per class. Byzantine choices come from the
 class-count generator in :mod:`restaking.model` that every engine shares,
-one per count vector, and one generator here pairs each of them with every
+one per count vector; one generator here slashes the row of each choice by
+the rule of :func:`restaking.model.apply_byzantine` and pairs it with every
 consolidated attack after it; :func:`find_beta_costly`, :func:`max_budget`
 and :func:`min_stake_for` reduce it by first, min and max.
 
 Like the other engines, every public function here takes the caller's
 :class:`restaking.model.Network` (:func:`min_stake_for` takes a
-:class:`SweepTemplate` and builds one) and raises NotSymmetricError, naming
-the failed condition, when it is not symmetric. :func:`find_beta_costly`
-reports a violation as ``(Byzantine services, attack)``, the attack built
-on that network, with its validator ids and stakes, by
-:func:`restaking.model.capped_attack` with the first floor(threshold * n)
-validators capped. Byzantine weight caps are absolute, as everywhere in the
-package (see :func:`restaking.model.byzantine_weight_cap`).
+:class:`SweepTemplate` and builds one), keeps no network type of its own,
+and raises NotSymmetricError, naming the failed condition, when it is not
+symmetric. :func:`find_beta_costly` reports a violation as ``(Byzantine
+services, attack)``, the attack built on that network, with its validator
+ids and stakes, by :func:`restaking.model.capped_attack` with the first
+floor(threshold * n) validators capped. Byzantine weight caps are absolute,
+as everywhere in the package (see :func:`restaking.model.byzantine_weight_cap`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .model import (
     TOLERANCE,
@@ -43,6 +45,7 @@ from .model import (
     attackable,
     byzantine_weight_cap,
     capped_attack,
+    service_weight,
 )
 
 __all__ = [
@@ -65,24 +68,6 @@ class NotSymmetricError(ValueError):
         self.condition = condition
 
 
-class _Compact(NamedTuple):
-    """A symmetric network in compact form: ``n_validators`` validators of
-    one ``stake``, each allocating ``allocation[s]`` to service s, and one
-    common ``threshold``. It only comes from a validated :class:`Network`
-    (:func:`_compact`) or from slashing one (:func:`_slash`)."""
-
-    n_validators: int
-    stake: float
-    allocation: dict
-    threshold: float
-    prize: dict
-    base_services: frozenset
-
-    @property
-    def services(self) -> tuple[str, ...]:
-        return tuple(self.allocation)
-
-
 def _values_close(a, b) -> bool:
     if a == b:
         return True
@@ -91,8 +76,9 @@ def _values_close(a, b) -> bool:
     return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
 
 
-def _compact(net: Network) -> _Compact:
-    """Compact a network, or raise NotSymmetricError naming the failed check."""
+def _row(net: Network) -> tuple:
+    """The common stake and the first validator's allocation row, by service,
+    of a symmetric network; NotSymmetricError naming the failed check else."""
     if not net.validators:
         raise NotSymmetricError("stake", "network has no validators")
     v0, *others = net.validators
@@ -100,7 +86,7 @@ def _compact(net: Network) -> _Compact:
     for v in others:
         if not _values_close(net.stake[v], sigma):
             raise NotSymmetricError("stake", f"validator {v!r} has a different stake")
-    allocation = {}
+    row = {}
     for s in net.services:
         w0 = net.w(v0, s)
         for v in others:
@@ -109,7 +95,7 @@ def _compact(net: Network) -> _Compact:
                     "allocation",
                     f"validator {v!r} allocates differently to service {s!r}",
                 )
-        allocation[s] = w0
+        row[s] = w0
     if not net.services:
         raise NotSymmetricError("threshold", "network has no services")
     theta = net.threshold[net.services[0]]
@@ -118,19 +104,13 @@ def _compact(net: Network) -> _Compact:
             raise NotSymmetricError(
                 "threshold", f"service {s!r} has a different threshold"
             )
-    return _Compact(
-        n_validators=len(net.validators),
-        stake=sigma,
-        allocation=allocation,
-        threshold=theta,
-        prize={s: net.prize[s] for s in net.services},
-        base_services=net.base_services,
-    )
+    return sigma, row
 
 
-def _threshold_split(sym: _Compact):
-    """floor and fractional part of threshold * n, snapped for float noise."""
-    t = sym.threshold * sym.n_validators
+def _threshold_split(net: Network):
+    """floor and fractional part of threshold * n, snapped for float noise;
+    the threshold is the first service's, which :func:`_row` found common."""
+    t = net.threshold[net.services[0]] * len(net.validators)
     if _exact(t):
         k = math.floor(t)
     else:
@@ -143,81 +123,50 @@ def _threshold_split(sym: _Compact):
 
 def consolidated_cost(net: Network, target: Iterable[str]):
     """Cost of the consolidated attack on the target services of a symmetric
-    network (NotSymmetricError otherwise).
+    network (NotSymmetricError otherwise); a repeated service counts once.
 
     With W the summed per-validator allocation over the target, the first
     floor(threshold * n) validators pay min(stake, W) and the fractional
     validator pays min(stake, frac * W).
     """
-    sym = _compact(net)
-    target = tuple(target)
-    unknown = set(target) - set(sym.services)
+    stake, row = _row(net)
+    target = tuple(dict.fromkeys(target))
+    unknown = set(target) - set(row)
     if unknown:
         raise InputError(f"unknown services: {sorted(unknown)}")
-    w_total = sum(sym.allocation[s] for s in target)
-    k, frac = _threshold_split(sym)
-    return k * min(sym.stake, w_total) + min(sym.stake, frac * w_total)
+    w_total = sum(row[s] for s in target)
+    k, frac = _threshold_split(net)
+    return k * min(stake, w_total) + min(stake, frac * w_total)
 
 
-def _classes(sym: _Compact) -> list[tuple[tuple, list[str]]]:
-    """Group services by (allocation, prize); counts fully determine attacks."""
-    groups: dict[tuple, list[str]] = {}
-    for s in sym.services:
-        groups.setdefault((sym.allocation[s], sym.prize[s]), []).append(s)
-    return list(groups.items())
-
-
-def _slash(sym: _Compact, byz: dict, names: tuple) -> _Compact | None:
-    """Network left after the non-base services ``names``, ``byz[class-key]``
-    per (allocation, prize) class, turn Byzantine.
-
-    Returns None when no services remain (the vacuous, trivially robust
-    case), and the network itself for the empty choice. When slashing wipes
-    the whole stake, every allocation left is zero.
-    """
-    if not names and sym.allocation:
-        return sym
-    slashed_total = sum(key[0] * cnt for key, cnt in byz.items())
-    new_stake = max(0, sym.stake - slashed_total)
-    gone = set(names)
-    remaining = {
-        s: min(sym.allocation[s], new_stake) for s in sym.services if s not in gone
-    }
-    if not remaining:
-        return None
-    return _Compact(
-        n_validators=sym.n_validators,
-        stake=new_stake,
-        allocation=remaining,
-        threshold=sym.threshold,
-        prize={s: sym.prize[s] for s in remaining},
-        base_services=sym.base_services & set(remaining),
-    )
-
-
-def _consolidated_attacks(sym: _Compact, weight_cap) -> Iterator[tuple]:
+def _consolidated_attacks(net: Network, weight_cap) -> Iterator[tuple]:
     """Every admissible Byzantine choice with every consolidated attack after it.
 
     Yields ``(byz, classes, counts, cost, prize)``: ``byz`` names the
     Byzantine services of one choice per count vector over (allocation,
     prize) classes within ``weight_cap``, and ``counts`` picks the attacked
-    services per class of ``classes``, the classes of the network slashing
-    leaves; ``cost`` is the consolidated attack's cost and ``prize`` its
-    prize. A choice that removes every service leaves nothing to attack and
-    yields nothing.
+    services per class of ``classes``, the (allocation, prize) classes of
+    the services slashing leaves; ``cost`` is the consolidated attack's cost
+    and ``prize`` its prize. A choice is slashed as :func:`apply_byzantine`
+    slashes it: the stake less the Byzantine allocations summed in service
+    order, at least 0, with every allocation left clipped to that stake. A
+    choice that removes every service leaves nothing to attack and yields
+    nothing.
     """
-    eligible = [s for s in sym.services if s not in sym.base_services]
-    key = lambda s: (sym.allocation[s], sym.prize[s])
-    weight = lambda s: math.inf if sym.threshold == 0 else sym.prize[s] / sym.threshold
-    for per_class, byz in _class_choices(eligible, key, weight, weight_cap):
-        slashed = _slash(sym, per_class, byz)
-        if slashed is None:
-            continue
-        classes = _classes(slashed)
-        k, frac = _threshold_split(slashed)
-        stake = slashed.stake
+    stake, row = _row(net)
+    k, frac = _threshold_split(net)
+    eligible = [s for s in net.services if s not in net.base_services]
+    key = lambda s: (row[s], net.prize[s])
+    for _, byz in _class_choices(eligible, key, lambda s: service_weight(net, s), weight_cap):
+        left = max(0, stake - sum(row[s] for s in byz))
+        groups: dict[tuple, list[str]] = {}
+        for s in net.services:
+            if s not in byz:
+                groups.setdefault((min(row[s], left), net.prize[s]), []).append(s)
+        classes = list(groups.items())
         # Per class, the allocation and prize of 0..size services; the three
         # products run in step, and the first (all-zero) vector is skipped.
+        # No class left yields nothing: its one vector is the skipped one.
         counts = [range(len(ids) + 1) for _, ids in classes]
         allocs = [[c * key[0] for c in r] for (key, _), r in zip(classes, counts)]
         prizes = [[c * key[1] for c in r] for (key, _), r in zip(classes, counts)]
@@ -225,7 +174,7 @@ def _consolidated_attacks(sym: _Compact, weight_cap) -> Iterator[tuple]:
             zip(product(*counts), product(*allocs), product(*prizes)), 1, None
         ):
             w_total = sum(ws)
-            cost = k * min(stake, w_total) + min(stake, frac * w_total)
+            cost = k * min(left, w_total) + min(left, frac * w_total)
             yield byz, classes, vector, cost, sum(ps)
 
 
@@ -244,14 +193,12 @@ def find_beta_costly(
     names the caller's validators and fits their stakes.
     """
     _check_nonnegative("budget", budget)
-    sym = _compact(net)
-    # threshold * n, and with it the capped count, is the same after slashing.
-    k, _ = _threshold_split(sym)
-    for byz, classes, counts, cost, prize in _consolidated_attacks(sym, weight_cap):
+    for byz, classes, counts, cost, prize in _consolidated_attacks(net, weight_cap):
         if attackable(prize - cost, budget):
             target = [s for c, (_, ids) in zip(counts, classes) for s in ids[:c]]
-            slashed = apply_byzantine(net, byz)
-            return byz, capped_attack(slashed, target, net.validators[:k])
+            # threshold * n, and with it the capped count, is the same after slashing.
+            k, _ = _threshold_split(net)
+            return byz, capped_attack(apply_byzantine(net, byz), target, net.validators[:k])
     return None
 
 
@@ -263,7 +210,7 @@ def max_budget(net: Network, weight_cap) -> float:
     subsets of (consolidated cost - prize) on the slashed network, clamped
     at zero. Returns inf when no attack subset exists at all.
     """
-    attacks = _consolidated_attacks(_compact(net), weight_cap)
+    attacks = _consolidated_attacks(net, weight_cap)
     worst = min(
         (cost - prize for *_, cost, prize in attacks),
         default=math.inf,
@@ -367,6 +314,6 @@ def min_stake_for(template: SweepTemplate, degree, budget, f) -> float:
     cap = byzantine_weight_cap(unit, f)
     stake = max(
         _stake_ratio(prize, budget, cost)
-        for *_, cost, prize in _consolidated_attacks(_compact(unit), cap)
+        for *_, cost, prize in _consolidated_attacks(unit, cap)
     )
     return stake if math.isfinite(stake) else math.nan

@@ -189,7 +189,7 @@ class TestCheck:
         path = write(tmp_path, "net.json", FIG_ATOMIC)
         for flags in (["--fraction", "1.5"], ["--fraction", "-0.1"], ["--fraction", "nan"],
                       ["--weight-cap", "-1"], ["--weight-cap", "nan"], ["--weight-cap", "inf"],
-                      ["--budget", "nan"], ["--budget", "inf"]):
+                      ["--budget", "nan"], ["--budget", "inf"], ["--budget", "-1"]):
             assert main(["check", path, *flags]) == 2, flags
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
@@ -458,21 +458,18 @@ class TestCheck:
         assert slashed == [(), ("s1",), ("s1", "s2"), ("s1", "s2", "s3")]
 
 
-def check_corpus_transcript(workdir: Path) -> str:
-    """Every `restaking check` run of the benchmark's check corpus, as the
-    benchmark runs it: each network file at budgets {0, 1} and fractions
-    {0, 0.2, 0.4}, with `--oracle` on files of at most 4 x 4. Each run is
-    written as its command line (file name only), its stdout and its exit
-    code."""
-    networks = json.loads(CHECK_CORPUS.read_text(encoding="utf-8"))["networks"]
+def check_transcript(workdir: Path, networks: dict, fractions, extra=lambda net: []) -> str:
+    """`restaking check` on each network file, in key order, at budgets
+    {0, 1} and the given fractions, with the flags ``extra(net)`` adds. Each
+    run is written as its command line (file name only), its stdout and its
+    exit code."""
     lines = []
     for key, net in sorted(networks.items()):
         path = workdir / f"{key}.json"
         path.write_text(json.dumps(net), encoding="utf-8")
-        oracle = ["--oracle"] if len(net["validators"]) <= 4 and len(net["services"]) <= 4 else []
         for budget in (0, 1):
-            for fraction in (0.0, 0.2, 0.4):
-                flags = ["--budget", str(budget), "--fraction", str(fraction), *oracle]
+            for fraction in fractions:
+                flags = ["--budget", str(budget), "--fraction", str(fraction), *extra(net)]
                 out = io.StringIO()
                 with redirect_stdout(out), redirect_stderr(io.StringIO()):
                     code = main(["check", str(path), *flags])
@@ -480,6 +477,63 @@ def check_corpus_transcript(workdir: Path) -> str:
                 lines.append(out.getvalue())
                 lines.append(f"[exit {code}]\n")
     return "".join(lines)
+
+
+def check_corpus_transcript(workdir: Path) -> str:
+    """Every `restaking check` run of the benchmark's check corpus, as the
+    benchmark runs it: each network file at budgets {0, 1} and fractions
+    {0, 0.2, 0.4}, with `--oracle` on files of at most 4 x 4."""
+    networks = json.loads(CHECK_CORPUS.read_text(encoding="utf-8"))["networks"]
+    oracle = lambda net: (["--oracle"] if len(net["validators"]) <= 4
+                          and len(net["services"]) <= 4 else [])
+    return check_transcript(workdir, networks, (0.0, 0.2, 0.4), oracle)
+
+
+def symmetric_files(count: int = 60, seed: int = 25) -> dict[str, dict]:
+    """``count`` seeded symmetric network files: 1-6 validators of one stake,
+    all ints or all floats, and 1-6 services of one threshold in 1-3 classes
+    of (amount, prize, base). Every third file has each stake, amount and
+    threshold perturbed by less than 4e-13 of itself, inside the closed
+    form's 1e-12 relative tolerance, with amounts kept at most their stakes
+    and thresholds at most 1."""
+    rng = random.Random(seed)
+    files = {}
+    for i in range(count):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        exact = rng.random() < 0.5
+        stake = rng.randint(1, 40) if exact else rng.uniform(0.5, 40.0)
+        threshold = rng.choice([1 / 3, 0.5, 2 / 3, 0.25, 0.6, 1])
+        kinds = []
+        for _ in range(rng.randint(1, 3)):
+            if exact:
+                amount, prize = rng.randint(0, stake), rng.randint(1, 10)
+            else:
+                amount = rng.choice([0, stake, rng.uniform(0, stake), rng.uniform(0, stake)])
+                prize = rng.choice([1, 2.5, rng.uniform(0.1, 10.0)])
+            kinds.append((amount, prize, rng.random() < 0.25))
+        classes = [rng.randrange(len(kinds)) for _ in range(m)]
+        jitter = (lambda x: x * (1 + rng.uniform(-4e-13, 4e-13))) if i % 3 == 2 else (lambda x: x)
+        stakes = {f"v{a + 1}": jitter(stake) for a in range(n)}
+        services = [{"id": f"s{b + 1}", "threshold": min(1, jitter(threshold)),
+                     "prize": kinds[c][1], "base": kinds[c][2]}
+                    for b, c in enumerate(classes)]
+        allocations = [{"validator": v, "service": f"s{b + 1}",
+                        "amount": min(sigma, jitter(kinds[c][0]))}
+                       for v, sigma in stakes.items() for b, c in enumerate(classes)
+                       if kinds[c][0] > 0]
+        files[f"sym{i:02d}"] = {
+            "validators": [{"id": v, "stake": sigma} for v, sigma in stakes.items()],
+            "services": services,
+            "allocations": allocations,
+        }
+    return files
+
+
+def check_symmetric_transcript(workdir: Path) -> str:
+    """`restaking check` on every file of :func:`symmetric_files` at budgets
+    {0, 1} and fractions {0, 0.2, 0.4, 1}: the closed form's verdicts and
+    witnesses."""
+    return check_transcript(workdir, symmetric_files(), (0.0, 0.2, 0.4, 1.0))
 
 
 class TestCheckCorpus:
@@ -494,6 +548,10 @@ class TestCheckCorpus:
     def test_transcript_matches_golden(self, tmp_path):
         expected = (GOLDEN / "check_corpus.txt").read_text(encoding="utf-8")
         assert check_corpus_transcript(tmp_path) == expected
+
+    def test_symmetric_transcript_matches_golden(self, tmp_path):
+        expected = (GOLDEN / "check_symmetric.txt").read_text(encoding="utf-8")
+        assert check_symmetric_transcript(tmp_path) == expected
 
     @pytest.mark.parametrize("key", [f"net{i:02d}" for i in range(10)])
     def test_exit_codes_match_reference(self, tmp_path, corpus, key):
@@ -675,6 +733,10 @@ class TestSweep:
         ({"name": "fig8", "budgets": [-100]}, "sweep 'fig8': budget"),
         ({"name": "fig5", "stake": 10**400}, "'stake'"),
         *negative_entries(),
+        # Degree grids that would never end in practice are refused before
+        # they are built: an end past n_services, or more than 10^5 degrees.
+        ({"name": "fig4", "degree_max": 1e300}, "sweep 'fig4': degree must lie"),
+        ({"name": "fig3", "degree_step": 1e-300}, "sweep 'fig3': degree grid"),
     ])
     def test_entry_refused_before_any_file_is_written(self, tmp_path, capsys, entry, key):
         # A key the sweep does not take, an unknown custom kind, a value of the
@@ -872,7 +934,8 @@ def test_malformed_input_exits_2(mutations):
                 assert code == 2 and err.getvalue().startswith("error: ")
 
 
-if __name__ == "__main__":  # rewrite the check-corpus transcript; see golden/README.md
+if __name__ == "__main__":  # rewrite both check transcripts; see golden/README.md
     with tempfile.TemporaryDirectory() as tmp:
-        (GOLDEN / "check_corpus.txt").write_text(
-            check_corpus_transcript(Path(tmp)), encoding="utf-8")
+        for name, transcript in (("check_corpus.txt", check_corpus_transcript),
+                                 ("check_symmetric.txt", check_symmetric_transcript)):
+            (GOLDEN / name).write_text(transcript(Path(tmp)), encoding="utf-8")

@@ -213,6 +213,7 @@ def test_degree_grid_bounds():
 @pytest.mark.parametrize("step, lo, hi", [
     (0, 1.0, None), (-0.5, 1.0, None), (math.nan, 1.0, None), (math.inf, 1.0, None),
     (0.5, math.nan, None), (0.5, -math.inf, None), (0.5, 1.0, math.nan), (0.5, 1.0, math.inf),
+    (1e-300, 1.0, None),
 ])
 def test_degree_grid_that_never_ends_is_refused(step, lo, hi):
     with pytest.raises(InputError, match="degree grid"):

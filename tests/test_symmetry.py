@@ -24,7 +24,8 @@ from restaking.model import (
 from restaking.symmetry import (
     NotSymmetricError,
     SweepTemplate,
-    _compact,
+    _consolidated_attacks,
+    _row,
     consolidated_cost,
     find_beta_costly,
     max_budget,
@@ -81,11 +82,7 @@ def random_symmetric(rng, max_validators=6, max_services=4):
 
 class TestAsSymmetric:
     def test_atomic_pair(self, fig_atomic):
-        compact = _compact(fig_atomic)
-        assert compact.n_validators == 2
-        assert compact.stake == 20
-        assert compact.allocation == {"s": 20}
-        assert compact.threshold == 0.5
+        assert _row(fig_atomic) == (20, {"s": 20})
 
     def test_unequal_stake_reports_condition(self, fig_atomic):
         net = Network(
@@ -97,7 +94,7 @@ class TestAsSymmetric:
             prize={"s": 5},
         )
         with pytest.raises(NotSymmetricError) as err:
-            _compact(net)
+            _row(net)
         assert err.value.condition == "stake"
 
     def test_unequal_allocations_reported(self):
@@ -110,7 +107,7 @@ class TestAsSymmetric:
             prize={"s": 5},
         )
         with pytest.raises(NotSymmetricError) as err:
-            _compact(net)
+            _row(net)
         assert err.value.condition == "allocation"
 
     def test_unequal_thresholds_reported(self):
@@ -123,13 +120,13 @@ class TestAsSymmetric:
             prize={"a": 1, "b": 1},
         )
         with pytest.raises(NotSymmetricError) as err:
-            _compact(net)
+            _row(net)
         assert err.value.condition == "threshold"
 
     def test_fifteen_by_fifteen(self):
-        compact = _compact(uniform_symmetric(15, 15, 7.4, 1.0, 1 / 3))
-        assert compact.n_validators == 15
-        assert len(compact.services) == 15
+        stake, row = _row(uniform_symmetric(15, 15, 7.4, 1.0, 1 / 3))
+        assert stake == 7.4
+        assert len(row) == 15
 
 
 class TestConsolidated:
@@ -138,6 +135,13 @@ class TestConsolidated:
 
     def test_empty_target(self, fig_atomic):
         assert consolidated_cost(fig_atomic, ()) == 0
+
+    def test_repeated_service_counts_once(self):
+        net = symmetric_network(
+            n_validators=2, stake=20, allocation={"s": 5}, threshold=0.5, prize={"s": 1}
+        )
+        assert consolidated_cost(net, ["s", "s"]) == consolidated_cost(net, ["s"]) == 5
+        assert min_cost_attack(net, ["s", "s"])[0] == 5
 
     def test_fractional_validator_boundary(self):
         net = uniform_symmetric(10, 10, 3.0, 1.0, 1 / 3)
@@ -445,7 +449,7 @@ class TestProperties:
             slashed = apply_byzantine(net, byz)
             if not slashed.validators or not slashed.services:
                 continue
-            _compact(slashed)  # must not raise
+            _row(slashed)  # must not raise
 
     def test_oracle_equivalence_small(self):
         rng = random.Random(56)
@@ -477,6 +481,27 @@ class TestProperties:
                 )
             for k in range(len(robust) - 1):
                 assert not robust[k + 1] or robust[k], (robust, k)
+
+    def test_slashing_matches_apply_byzantine(self):
+        # Nine equal allocations slashed one by one leave a stake that c * w
+        # misses by an ulp; an attack that includes the base, which holds the
+        # whole stake, costs exactly that stake (threshold * n = 1).
+        w = 0.7609624449125756
+        net = symmetric_network(
+            n_validators=2,
+            stake=10.0,
+            allocation={**{f"s{i}": w for i in range(9)}, "base": 10.0},
+            threshold=0.5,
+            prize={**{f"s{i}": 1.0 for i in range(9)}, "base": 1.0},
+            base_services=frozenset({"base"}),
+        )
+        checked = 0
+        for byz, classes, counts, cost, _ in _consolidated_attacks(net, math.inf):
+            attacked = {s for c, (_, ids) in zip(counts, classes) for s in ids[:c]}
+            if byz and "base" in attacked:
+                assert cost == apply_byzantine(net, byz).stake["v1"], byz
+                checked += 1
+        assert checked == 45
 
     def test_consolidated_cost_matches_oracle(self):
         template = SweepTemplate(n_validators=10, n_services=3, threshold=1 / 3)
