@@ -273,7 +273,12 @@ def solve_lp(problem: LpProblem, *, start: LpSolution | None = None,
             if j not in s.basis:
                 cols.append(j)
                 steps.append(value - s.x[j])
-        s.move(cols, steps)
+        # One column, as a branching fix pins, takes the scalar path: the
+        # same bits as the matmul for less overhead.
+        if len(cols) == 1:
+            s.move(cols[0], steps[0])
+        else:
+            s.move(cols, steps)
     if not _dual(s):
         return LpSolution(status=INFEASIBLE)
     s.t[-1] = s.cost - s.cost.take(s.basis) @ s.t[:-1]

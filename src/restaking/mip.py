@@ -23,12 +23,17 @@ its slashing leaves, and asks the budget program about that network:
 witness as every engine returns one (``(Byzantine services, attack)``),
 :func:`max_byzantine_fraction` the lightest, and
 ``experiments.min_stake_mip`` the largest minimum stake. The first two only
-ask whether some attack clears the budget, so their branch and bound runs in
-decision mode and answers with the first node whose attack does, by the
-float tie rule of :func:`restaking.model.attackable`; the third needs the
-optimum. Every attack returned is read off the program's binaries by
-position (:func:`restaking.model.capped_attack` of its T and C), re-scored
-as ``evaluate_attack`` scores it on the network it was solved on (an attack
+ask whether some attack clears the budget. Before building a program they
+test a profit bound from one sort of the services (an attack costs at least
+the largest required stake it attacks): a choice whose bound falls short of
+the budget is robust with no program built. Otherwise their branch and bound
+runs in decision mode and answers with the first node whose attack clears
+it, by the float tie rule of :func:`restaking.model.attackable`; the third
+needs the optimum, and the bound does not reach it. The oracle,
+:mod:`restaking.bruteforce`, does not use the bound: it stays its referee.
+Every attack returned is read off the program's binaries by position
+(:func:`restaking.model.capped_attack` of its T and C), re-scored as
+``evaluate_attack`` scores it on the network it was solved on (an attack
 ``capped_attack`` builds fits that network, so its fit is not re-checked),
 and a score that contradicts the solver raises :class:`MipStatusError`. The
 embedded branch-and-bound solver keeps runs deterministic; instances stay
@@ -84,6 +89,10 @@ _NODE_LIMIT = 200_000
 #: Largest gap between a witness's evaluated profit and the optimum the
 #: branch and bound reports, relative to the largest stake or prize.
 _CERTIFICATE_TOL = 1e-9
+
+#: Rounding slack of the profit bound and of the scorer's float sums,
+#: relative to the network's total prize plus total stake.
+_BOUND_ROUNDING = 1e-12
 
 #: Status of a decision-mode solve in which no integral solution reaches the
 #: target (for the budget program, which is always feasible: no attack does).
@@ -283,15 +292,45 @@ def max_attack_profit(net: Network) -> tuple[float, Attack]:
     return solution.objective_value, attack
 
 
+def _profit_bound(net: Network):
+    """An upper bound on the profit of every attack on net, from one sort.
+
+    An attack on a set T of services aims at least the required stake D_s at
+    each s in T, and each validator's cost is at least what it aims at any
+    one service, so the attack costs at least max_{s in T} D_s. Its profit is
+    thus at most max_k (sum of prize_s over D_s <= D_k, less D_k): one pass
+    over the services sorted by D. Summed in the network's own numbers, so
+    exact on exact networks; -inf when there are no services.
+    """
+    required = net.required_stake
+    bound, prizes = -math.inf, 0
+    # A service tied on D with a later one sums fewer prizes, so its term is
+    # no larger and ties need no care.
+    for s in sorted(net.services, key=required.__getitem__):
+        prizes += net.prize[s]
+        bound = max(bound, prizes - required[s])
+    return bound
+
+
 def _attack_within(net: Network, budget) -> tuple[Attack, AttackEvaluation] | None:
     """An attack on net whose profit clears -budget, or None when none does.
 
-    The budget program runs in decision mode at the float tie rule of
+    A network whose :func:`_profit_bound` falls short of the target by more
+    than its float slack is robust with no program built. The slack covers
+    allocations up to ``TOLERANCE`` above stake and the attacked-set test's
+    own ``TOLERANCE`` (together at most one per validator and one more), and
+    the rounding of float sums of prizes and stakes. Otherwise the budget
+    program runs in decision mode at the float tie rule of
     :func:`restaking.model.attackable`; an attack it returns that does not clear
     the budget once scored as ``evaluate_attack`` scores it raises MipStatusError.
     """
+    target = -budget - TOLERANCE
+    magnitude = sum(net.prize.values()) + sum(net.stake.values())
+    slack = (len(net.validators) + 1) * TOLERANCE + _BOUND_ROUNDING * magnitude
+    if _profit_bound(net) < target - slack:
+        return None
     problem = build_budget_mip(net)
-    solution = solve_mip(problem, target=-budget - TOLERANCE)
+    solution = solve_mip(problem, target=target)
     if solution.status == BELOW_TARGET:
         return None
     attack, evaluation = _witness(net, solution)
@@ -369,13 +408,32 @@ def _sanitize(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
 
 
+def _lp_names(problem: MipProblem) -> list[str]:
+    """One LP-format name per column: its name sanitized, and a name that an
+    earlier column already has gets the first suffix ``_k`` that no column
+    has, so ids such as ``a,b`` and ``a_b`` stay two columns."""
+    names = [_sanitize(problem.variable_names.get(i, f"x{i}"))
+             for i in range(problem.lp.n_variables())]
+    taken, seen = set(names), set()
+    for i, name in enumerate(names):
+        if name in seen:
+            k = 1
+            while f"{name}_{k}" in taken:
+                k += 1
+            name = names[i] = f"{name}_{k}"
+            taken.add(name)
+        seen.add(name)
+    return names
+
+
 def write_lp_format(problem: MipProblem) -> str:
-    """Render a MIP as human-readable LP-format text for external checking."""
+    """Render a MIP as human-readable LP-format text for external checking.
+
+    Every number is printed so that it reads back as the same float, and
+    every column has its own name.
+    """
     lp = problem.lp
-    n = lp.n_variables()
-    names = [
-        _sanitize(problem.variable_names.get(i, f"x{i}")) for i in range(n)
-    ]
+    names = _lp_names(problem)
     out = StringIO()
     # Coefficients are the program's divided by the scale; so is the objective.
     out.write(f"\\ scale: {problem.scale:.17g}\n")
@@ -386,7 +444,7 @@ def write_lp_format(problem: MipProblem) -> str:
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
-            parts.append(f"{sign} {abs(c):g} {names[i]}")
+            parts.append(f"{sign} {abs(c):.17g} {names[i]}")
         if not parts:
             return "0"
         first = parts[0]
@@ -398,14 +456,14 @@ def write_lp_format(problem: MipProblem) -> str:
     out.write("Subject To\n")
     rel_map = {"<=": "<=", ">=": ">=", "==": "="}
     for k, (coeffs, rel, rhs) in enumerate(lp.constraints):
-        out.write(f" c{k + 1}: {term_string(coeffs)} {rel_map[rel]} {rhs:g}\n")
+        out.write(f" c{k + 1}: {term_string(coeffs)} {rel_map[rel]} {rhs:.17g}\n")
     out.write("Bounds\n")
-    bounds = lp.bounds or [(0.0, None)] * n
+    bounds = lp.bounds or [(0.0, None)] * len(names)
     for i, (lo, hi) in enumerate(bounds):
         if hi is None:
-            out.write(f" {names[i]} >= {lo:g}\n")
+            out.write(f" {names[i]} >= {lo:.17g}\n")
         else:
-            out.write(f" {lo:g} <= {names[i]} <= {hi:g}\n")
+            out.write(f" {lo:.17g} <= {names[i]} <= {hi:.17g}\n")
     out.write("Binaries\n")
     for i in sorted(problem.integral):
         out.write(f" {names[i]}\n")

@@ -415,7 +415,8 @@ class TestCheck:
             mip, "solve_mip", lambda problem, **_: mip.MipSolution(status=INFEASIBLE)
         )
         path = write(tmp_path, "net.json", FIG_ATOMIC)
-        assert main(["check", path, "--mip"]) == 2
+        # Budget 20 is beyond the profit bound of -15, so the solver is asked.
+        assert main(["check", path, "--mip", "--budget", "20"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -548,6 +549,22 @@ class TestCheckCorpus:
     def test_transcript_matches_golden(self, tmp_path):
         expected = (GOLDEN / "check_corpus.txt").read_text(encoding="utf-8")
         assert check_corpus_transcript(tmp_path) == expected
+
+    def test_profit_bound_spares_most_budget_programs(self, tmp_path, monkeypatch):
+        # Without the profit bound the 360 runs build 975 budget programs
+        # and solve 4,703 of their LPs; with it most robust choices need none.
+        counts = {"programs": 0, "lps": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(mip, "build_budget_mip", counted("programs", mip.build_budget_mip))
+        monkeypatch.setattr(mip, "solve_lp", counted("lps", mip.solve_lp))
+        check_corpus_transcript(tmp_path)
+        assert counts["programs"] <= 560 and counts["lps"] <= 3950, counts
 
     def test_symmetric_transcript_matches_golden(self, tmp_path):
         expected = (GOLDEN / "check_symmetric.txt").read_text(encoding="utf-8")

@@ -167,3 +167,108 @@ def test_kernel_matches_linprog_beyond_workload_sizes():
             for j, v in fix.items():
                 bounds[j] = (v, v)
             solution = solve_lp(problem.lp, start=solution, fix=fix)
+
+
+def read_lp_format(text: str):
+    """A ``write_lp_format`` dump read back: its scale, its column names in
+    column order, and its program as scipy.optimize.milp arguments (the
+    objective negated when the dump maximizes)."""
+    def terms(tokens: list[str]) -> dict[str, float]:
+        coeffs, sign, it = {}, 1.0, iter(tokens)
+        for token in it:
+            if token in ("+", "-"):
+                sign = -1.0 if token == "-" else 1.0
+                continue
+            coeffs[next(it)] = sign * float(token)
+            sign = 1.0
+        return coeffs
+
+    lines = text.splitlines()
+    scale = float(lines[0].removeprefix("\\ scale: "))
+    section, sense, objective, rows, bounds, binaries = None, None, {}, [], {}, set()
+    for line in lines[1:]:
+        if line.startswith("\\"):
+            continue
+        if not line.startswith(" "):
+            section = line
+            sense = line if line in ("Maximize", "Minimize") else sense
+            continue
+        body = line.split()
+        if section in ("Maximize", "Minimize"):
+            objective = terms(body[1:])
+        elif section == "Subject To":
+            rows.append((terms(body[1:-2]), body[-2], float(body[-1])))
+        elif section == "Bounds":
+            if body[1] == ">=":
+                bounds[body[0]] = (float(body[2]), np.inf)
+            else:
+                bounds[body[2]] = (float(body[0]), float(body[4]))
+        elif section == "Binaries":
+            binaries.add(body[0])
+    names = list(bounds)  # every column has one bound line, in column order
+    column = {name: k for k, name in enumerate(names)}
+    cost = np.zeros(len(names))
+    for name, c in objective.items():
+        cost[column[name]] = -c if sense == "Maximize" else c
+    matrix = np.zeros((len(rows), len(names)))
+    row_lo, row_hi = np.full(len(rows), -np.inf), np.full(len(rows), np.inf)
+    for r, (coeffs, rel, rhs) in enumerate(rows):
+        for name, c in coeffs.items():
+            matrix[r, column[name]] = c
+        if rel in (">=", "="):
+            row_lo[r] = rhs
+        if rel in ("<=", "="):
+            row_hi[r] = rhs
+    lo, hi = (np.array([bounds[name][k] for name in names]) for k in (0, 1))
+    integrality = np.array([name in binaries for name in names], dtype=float)
+    return scale, names, (cost, optimize.LinearConstraint(matrix, row_lo, row_hi),
+                          lo, hi, integrality)
+
+
+def dump_optimum(text: str) -> float:
+    """HiGHS's optimum of a dump in the network's units: its binaries rounded
+    and the program solved once more with them fixed, as :func:`highs` does."""
+    scale, _, (cost, constraints, lo, hi, integrality) = read_lp_format(text)
+    result = optimize.milp(cost, constraints=constraints, bounds=optimize.Bounds(lo, hi),
+                           integrality=integrality, options={"mip_rel_gap": 1e-9})
+    assert result.status == 0, result.message
+    binary = integrality == 1
+    lo[binary] = hi[binary] = np.round(result.x[binary])
+    exact = optimize.milp(cost, constraints=constraints, bounds=optimize.Bounds(lo, hi))
+    assert exact.status == 0, exact.message
+    return -exact.fun * scale
+
+
+COLLIDING = Network(
+    validators=("a,b", "a_b", "c"), services=("s", "t"),
+    stake={"a,b": 2.0, "a_b": 3.0, "c": 0.8286084266374409},
+    allocation={("a,b", "s"): 1.0, ("a_b", "t"): 2.5, ("c", "s"): 0.5, ("c", "t"): 0.25},
+    threshold={"s": 1 / 3, "t": 0.6}, prize={"s": 1.0, "t": 1.7},
+)
+
+
+def test_dump_reads_back_as_the_program():
+    # Every coefficient, side and bound reads back as the same float, and
+    # HiGHS's optimum of the dump is the package's maximum attack profit.
+    rng = random.Random(31)
+    nets = [random_network(rng, max_validators=size, max_services=size)
+            for size in (2, 3, 4, 5, 6, 6)]
+    for net in [*nets, COLLIDING]:
+        problem = build_budget_mip(net)
+        text = mip.write_lp_format(problem)
+        scale, _, (cost, constraints, lo, hi, _) = read_lp_format(text)
+        assert scale == problem.scale
+        assert (-cost).tolist() == list(problem.lp.objective)
+        assert constraints.A.tolist() == [list(row) for row, _, _ in problem.lp.constraints]
+        assert constraints.lb.tolist() == [rhs for _, _, rhs in problem.lp.constraints]
+        assert list(zip(lo.tolist(), hi.tolist())) == [
+            (low, np.inf if high is None else high) for low, high in problem.lp.bounds]
+        profit, _ = mip.max_attack_profit(net)
+        assert abs(dump_optimum(text) - profit) <= 1e-9 * problem.scale
+
+
+def test_colliding_ids_get_their_own_names():
+    # "a,b" and "a_b" both sanitize to capped_a_b_; the later column is renamed.
+    _, names, _ = read_lp_format(mip.write_lp_format(build_budget_mip(COLLIDING)))
+    assert len(set(names)) == len(names) == 7
+    assert "capped_a_b_" in names and "capped_a_b__1" in names

@@ -423,13 +423,55 @@ class TestCertificate:
         with pytest.raises(MipStatusError, match="scores"):
             max_attack_profit(fig_atomic)
 
-    def test_witness_short_of_the_budget_raises(self, fig_atomic, monkeypatch):
-        # A decision solve that ignores its target returns the optimum, a
-        # profit of -15, which does not clear budget 14.
+    def test_witness_short_of_the_budget_raises(self, monkeypatch):
+        # Two validators of stake 20 each fully secure their own service at
+        # threshold 1 with prize 5. The profit bound, 10 - 20 = -10, leaves
+        # budget 12 to the solver; a decision solve that ignores its target
+        # returns the optimum, a profit of -15, which does not clear it.
+        net = Network(
+            validators=("v1", "v2"), services=("s1", "s2"),
+            stake={"v1": 20, "v2": 20},
+            allocation={("v1", "s1"): 20, ("v2", "s2"): 20},
+            threshold={"s1": 1, "s2": 1}, prize={"s1": 5, "s2": 5},
+        )
         real = mip.solve_mip
         monkeypatch.setattr(mip, "solve_mip", lambda problem, **_: real(problem))
         with pytest.raises(MipStatusError, match="short of"):
-            mip_check(fig_atomic, 14, 0)
+            mip_check(net, 12, 0)
+
+
+class TestProfitBound:
+    def test_bound_is_never_below_the_best_attack(self):
+        # Intact and after each Byzantine choice: exactly on exact networks,
+        # within 1e-12 of the largest stake or prize on float ones.
+        rng = random.Random(26)
+        for _ in range(150):
+            net = random_network(rng)
+            for exact in (False, True):
+                for _, slashed in byzantine_choices(as_fractions(net) if exact else net,
+                                                    math.inf):
+                    margin, _ = best_attack(slashed)
+                    bound = mip._profit_bound(slashed)
+                    if exact:
+                        assert bound >= margin
+                    else:
+                        scale = max([*slashed.stake.values(), *slashed.prize.values()])
+                        assert bound >= margin - 1e-12 * scale
+
+    def test_bound_changes_no_answer(self, monkeypatch):
+        # With the bound never below the target, every choice goes to the
+        # budget program; mip_check and max_byzantine_fraction answer the same.
+        rng = random.Random(126)
+        nets = [random_network(rng) for _ in range(40)]
+        cases = [(net, budget) for net in nets for budget in (0, 0.5, 2)]
+
+        def answers():
+            return [(mip_check(net, budget, math.inf), max_byzantine_fraction(net, budget))
+                    for net, budget in cases]
+
+        bounded = answers()
+        monkeypatch.setattr(mip, "_profit_bound", lambda net: math.inf)
+        assert answers() == bounded
 
 
 def test_lp_format_dump(fig_atomic):
