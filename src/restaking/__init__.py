@@ -15,4 +15,5 @@ from .mip import min_budget, mip_check
 from .model import Network
 from .symmetry import max_budget
 
+__all__ = ["Network", "max_budget", "min_budget", "mip_check"]
 __version__ = "0.1.0"

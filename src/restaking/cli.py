@@ -13,9 +13,10 @@ Exit codes: 0 the network is robust, 1 it is not, 2 input, capability or
 solver error (including engine disagreement, which is itself a
 cross-validation feature, printed with every engine's verdict and the
 witness of each engine that found one). All numbers print with six
-decimals, matching the 1e-6 solve precision. Reported safe budgets are open
-upper bounds: a network robust "at budget b" withstands any budget strictly
-below the failure point.
+decimals, matching the 1e-6 solve precision, but for an f or budget in the
+verdict that six decimals would hide, printed by ``repr``. Reported safe
+budgets are open upper bounds: a network robust "at budget b" withstands any
+budget strictly below the failure point.
 """
 
 from __future__ import annotations
@@ -58,6 +59,15 @@ def _fmt(x) -> str:
     if isinstance(x, float) and math.isinf(x):
         return "inf"
     return f"{float(x):.6f}"
+
+
+def _fmt_shown(x) -> str:
+    """:func:`_fmt`, or ``repr`` where six decimals would hide the value: a
+    nonzero value that rounds to 0, or one of 1e15 or more."""
+    text = _fmt(x)
+    if (x != 0 and float(text) == 0) or abs(x) >= 1e15:
+        return repr(float(x))
+    return text
 
 
 def _print_witness(net: Network, engine: str, witness: tuple) -> None:
@@ -174,7 +184,7 @@ def cmd_check(args) -> int:
     what = (
         "secure"
         if budget == 0 and fraction == 0
-        else f"(f={_fmt(fraction)}, budget={_fmt(budget)})-robust"
+        else f"(f={_fmt_shown(fraction)}, budget={_fmt_shown(budget)})-robust"
     )
     engines = ", ".join(witnesses)
     if answers.pop():

@@ -19,7 +19,6 @@ from .model import InputError, Network, _check_total, _finite, restaking_degree
 
 __all__ = [
     "RewardPools",
-    "validator_reward",
     "formation_utility",
     "equilibrium_allocations",
     "best_response",
@@ -59,26 +58,10 @@ def _within_target(net: Network, pools: RewardPools, v: str) -> bool:
     return degree <= target + _GATE_TOL * max(1.0, abs(target))
 
 
-def validator_reward(net: Network, pools: RewardPools, v: str, s: str):
-    """Reward of one validator from one service.
-
-    Proportional share of the pool while the validator's degree respects the
-    target; zero otherwise. A service nobody allocates to pays nothing.
-    """
-    if v not in net.stake:
-        raise InputError(f"unknown validator {v!r}")
-    if s not in pools.reward:
-        raise InputError(f"no reward pool for service {s!r}")
-    if not _within_target(net, pools, v):
-        return 0
-    total = net.total_allocation(s)
-    if total == 0:
-        return 0
-    return net.w(v, s) / total * pools.reward[s]
-
-
 def formation_utility(net: Network, pools: RewardPools, v: str):
-    """Total rewards of a validator; the degree gate applies to all of them."""
+    """Total rewards of a validator: each pool split in proportion to
+    allocation, an unallocated one paying nothing; the degree gate applies
+    to all of them."""
     if v not in net.stake:
         raise InputError(f"unknown validator {v!r}")
     if not _within_target(net, pools, v):

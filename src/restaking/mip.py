@@ -20,15 +20,14 @@ Every Byzantine question reduces one generator,
 Byzantine subset per multiset of interchangeable services with the network
 its slashing leaves, and asks the budget program about that network:
 :func:`mip_check` takes the first attackable subset, returned with its
-witness as every engine returns one (``(Byzantine services, attack)``),
-:func:`max_byzantine_fraction` the lightest, and
-``experiments.min_stake_mip`` the largest minimum stake. The first two only
-ask whether some attack clears the budget. Before building a program they
-test a profit bound from one sort of the services (an attack costs at least
+witness as every engine returns one (``(Byzantine services, attack)``), and
+``experiments.min_stake_mip`` the largest minimum stake. The first only
+asks whether some attack clears the budget. Before building a program it
+tests a profit bound from one sort of the services (an attack costs at least
 the largest required stake it attacks): a choice whose bound falls short of
-the budget is robust with no program built. Otherwise their branch and bound
+the budget is robust with no program built. Otherwise its branch and bound
 runs in decision mode and answers with the first node whose attack clears
-it, by the float tie rule of :func:`restaking.model.attackable`; the third
+it, by the float tie rule of :func:`restaking.model.attackable`; the second
 needs the optimum, and the bound does not reach it. The oracle,
 :mod:`restaking.bruteforce`, does not use the bound: it stays its referee.
 Every attack returned is read off the program's binaries by position
@@ -61,8 +60,6 @@ from .model import (
     attackable,
     byzantine_choices,
     capped_attack,
-    service_weight,
-    total_byzantine_weight,
 )
 
 __all__ = [
@@ -75,7 +72,6 @@ __all__ = [
     "solve_mip",
     "max_attack_profit",
     "min_budget",
-    "max_byzantine_fraction",
     "mip_check",
     "write_lp_format",
 ]
@@ -378,30 +374,6 @@ def mip_check(net: Network, budget, weight_cap) -> tuple[tuple[str, ...], Attack
         if found is not None:
             return tuple(subset), found[0]
     return None
-
-
-def max_byzantine_fraction(net: Network, budget) -> float:
-    """Largest weighted fraction of Byzantine services the network tolerates.
-
-    The breaking weight is the least prize-to-threshold weight of a Byzantine
-    subset after which a budget-costly attack exists; turning every service
-    Byzantine leaves nothing to attack and counts as a failure only at budget
-    0. Returns the breaking weight's fraction of the total non-base weight,
-    stepped inside the open boundary by the solve precision: 1.0 means no
-    Byzantine set breaks the network, 0.0 that the intact network is already
-    attackable at this budget.
-    """
-    _check_nonnegative("budget", budget)
-    total = total_byzantine_weight(net)
-    collapse = budget <= 0 and not net.base_services and 0 < total < math.inf
-    best = total if collapse else math.inf
-    for subset, slashed in byzantine_choices(net, math.inf):
-        weight = sum(service_weight(net, s) for s in subset)
-        if weight < best and _attack_within(slashed, budget) is not None:
-            best = weight
-    if math.isinf(best):
-        return 1.0
-    return max(0.0, (best - PRECISION) / total) if total else 0.0
 
 
 def _sanitize(name: str) -> str:

@@ -21,6 +21,13 @@ order. Every engine slashes a choice by one rule, that of
 :func:`apply_byzantine`: the closed form applies it to one validator's
 stake and allocation row, the other engines call it.
 
+Reference definitions, which no engine calls: :func:`prize_shares` and
+:func:`robustness_utility` (a validator's payoff from an attack) and the
+sufficient conditions :func:`eigenlayer_condition` and
+:func:`generalized_eigenlayer_condition` state the paper's definitions, and
+the tests hold the engines to them; :func:`byzantine_subsets` is the tests'
+reference enumerator, and ``perfbench`` checks its sweep-mip ops with it.
+
 Witnesses: every engine reports a violation as ``(Byzantine services, attack
 on the network they leave)``, and builds the attack with
 :func:`capped_attack` from the attacked services and the validators that
@@ -56,15 +63,12 @@ __all__ = [
     "Network",
     "Attack",
     "AttackEvaluation",
-    "PrizeShares",
     "restaking_degree",
-    "attacked_services",
     "evaluate_attack",
     "capped_attack",
     "prize_shares",
     "robustness_utility",
     "attackable",
-    "is_beta_costly",
     "apply_byzantine",
     "byzantine_subsets",
     "byzantine_choices",
@@ -278,12 +282,6 @@ class Attack:
                     f"(validator {v!r}, service {s!r})"
                 )
 
-    def is_indivisible(self, net: Network) -> bool:
-        """True when every entry is 0 or exactly the full allocation."""
-        return all(
-            a == 0 or a == net.w(v, s) for (v, s), a in self.stake_used.items()
-        )
-
 
 @dataclass(frozen=True)
 class AttackEvaluation:
@@ -294,13 +292,6 @@ class AttackEvaluation:
     total_cost: float
     total_prize: float
     margin: float
-
-
-@dataclass(frozen=True)
-class PrizeShares:
-    """Per-validator share of the total attack prize; sums to one."""
-
-    share: Mapping[str, float]
 
 
 def restaking_degree(net: Network, v: str):
@@ -318,28 +309,14 @@ def restaking_degree(net: Network, v: str):
     return total / sigma
 
 
-def attacked_services(net: Network, a: Attack) -> frozenset[str]:
-    """Services where the aimed stake meets the threshold fraction.
-
-    A service with zero total allocation is attacked by any attack, including
-    the all-zero one, because 0 >= threshold * 0 holds.
-    """
-    a.validate_for(net)
-    return _attacked(net, a)
-
-
-def _attacked(net: Network, a: Attack) -> frozenset[str]:
-    return frozenset(
-        s for s in net.services
-        if _ge(sum(a.used(v, s) for v in net.validators), net.required_stake[s])
-    )
-
-
 def evaluate_attack(net: Network, a: Attack) -> AttackEvaluation:
     """Evaluate costs and prize of an attack.
 
-    Only stake aimed at services that clear their threshold is charged, and
-    each validator's charge is capped at their stake.
+    The attacked services are those where the aimed stake meets the
+    threshold fraction; one with zero total allocation is attacked by any
+    attack, the all-zero one included, because 0 >= threshold * 0 holds.
+    Only stake aimed at attacked services is charged, and each validator's
+    charge is capped at their stake.
     """
     a.validate_for(net)
     return _score(net, a)
@@ -348,7 +325,10 @@ def evaluate_attack(net: Network, a: Attack) -> AttackEvaluation:
 def _score(net: Network, a: Attack) -> AttackEvaluation:
     """:func:`evaluate_attack` of an attack known to fit net's allocations,
     such as one :func:`capped_attack` built on it."""
-    attacked = _attacked(net, a)
+    attacked = frozenset(
+        s for s in net.services
+        if _ge(sum(a.used(v, s) for v in net.validators), net.required_stake[s])
+    )
     costs = {}
     in_order = [s for s in net.services if s in attacked]  # not hash order
     for v in net.validators:
@@ -401,17 +381,16 @@ def capped_attack(net: Network, attacked: Iterable[str], capped: Iterable[str]) 
     return Attack(stake_used=used)
 
 
-def prize_shares(net: Network, evaluation: AttackEvaluation) -> PrizeShares:
-    """Split the prize proportionally to cost, or evenly when cost is zero."""
+def prize_shares(net: Network, evaluation: AttackEvaluation) -> dict[str, float]:
+    """Each validator's share of the prize, summing to one: proportional to
+    cost, or even when the cost is zero."""
     if evaluation.total_cost > 0:
-        shares = {
+        return {
             v: evaluation.validator_cost[v] / evaluation.total_cost
             for v in net.validators
         }
-    else:
-        n = len(net.validators)
-        shares = {v: 1 / n for v in net.validators} if n else {}
-    return PrizeShares(share=shares)
+    n = len(net.validators)
+    return {v: 1 / n for v in net.validators} if n else {}
 
 
 def robustness_utility(net: Network, a: Attack, v: str, budget):
@@ -423,9 +402,8 @@ def robustness_utility(net: Network, a: Attack, v: str, budget):
     _check_nonnegative("budget", budget)
     evaluation = evaluate_attack(net, a)
     if evaluation.attacked_services:
-        shares = prize_shares(net, evaluation)
         pot = evaluation.total_prize + budget
-        return shares.share[v] * pot - evaluation.validator_cost[v]
+        return prize_shares(net, evaluation)[v] * pot - evaluation.validator_cost[v]
     return -evaluation.validator_cost[v]
 
 
@@ -433,14 +411,6 @@ def attackable(margin, budget) -> bool:
     """True when an attack's margin (prize minus cost) clears -budget: the tie
     rule of every engine, exact on exact values, else within TOLERANCE."""
     return _ge(margin, -budget)
-
-
-def is_beta_costly(evaluation: AttackEvaluation, budget) -> bool:
-    """True when something was attacked and the prize plus an adversary
-    subsidy covers the cost; with budget 0, when the attack is profitable.
-    """
-    _check_nonnegative("budget", budget)
-    return bool(evaluation.attacked_services) and attackable(evaluation.margin, budget)
 
 
 def apply_byzantine(net: Network, byz: Iterable[str]) -> Network:

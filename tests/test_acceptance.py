@@ -12,14 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from restaking.bruteforce import (
-    best_attack,
-    build_divisible_reduction,
-    build_indivisible_reduction,
-    has_profitable_indivisible_attack,
-    min_budget_bruteforce,
-    subset_sum_bruteforce,
-)
+from restaking.bruteforce import best_attack, min_budget_bruteforce
 from restaking.incentives import (
     RewardPools,
     equilibrium_allocations,
@@ -32,8 +25,8 @@ from restaking.model import (
     Network,
     apply_byzantine,
     byzantine_weight_cap,
+    attackable,
     evaluate_attack,
-    is_beta_costly,
     restaking_degree,
 )
 from restaking.symmetry import (
@@ -46,6 +39,12 @@ from restaking.symmetry import (
 from restaking.experiments import sweep_min_stake_robustness, sweep_mip_vs_theory
 
 from conftest import random_network, symmetric_network
+from reductions import (
+    build_divisible_reduction,
+    build_indivisible_reduction,
+    has_profitable_indivisible_attack,
+    subset_sum_bruteforce,
+)
 
 
 class _Timer:
@@ -156,7 +155,8 @@ def test_criterion_6_reduction_faithfulness():
             truth = subset_sum_bruteforce(elements, target)
             net = build_divisible_reduction(elements, target)
             margin, attack = best_attack(net)
-            profitable = margin >= -1e-9 and is_beta_costly(evaluate_attack(net, attack), 0)
+            ev = evaluate_attack(net, attack)
+            profitable = margin >= -1e-9 and bool(ev.attacked_services) and attackable(ev.margin, 0)
             assert profitable == truth
 
 

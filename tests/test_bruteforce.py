@@ -11,37 +11,38 @@ from restaking import bruteforce
 from restaking.bruteforce import (
     _capped_sets,
     best_attack,
-    build_divisible_reduction,
-    build_indivisible_reduction,
-    has_profitable_indivisible_attack,
     min_budget_bruteforce,
     min_cost_attack,
     oracle_check,
-    subset_sum_bruteforce,
 )
 from restaking.experiments import AGREEMENT_TOLERANCE, min_stake_mip
-from restaking.mip import max_byzantine_fraction, min_budget, mip_check
+from restaking.mip import min_budget, mip_check
 from restaking.model import (
     Attack,
     InputError,
     Network,
-    attacked_services,
     byzantine_choices,
     byzantine_weight_cap,
     evaluate_attack,
     generalized_eigenlayer_condition,
-    is_beta_costly,
 )
 from restaking.symmetry import SweepTemplate, find_beta_costly, max_budget, min_stake_for
 
 from conftest import as_fractions, random_network
+from reductions import (
+    build_divisible_reduction,
+    build_indivisible_reduction,
+    has_profitable_indivisible_attack,
+    is_indivisible,
+    subset_sum_bruteforce,
+)
 
 
 class TestMinCostAttack:
     def test_atomic_pair(self, fig_atomic):
         cost, attack = min_cost_attack(fig_atomic, ("s",))
         assert cost == pytest.approx(20.0, abs=1e-7)
-        assert "s" in attacked_services(fig_atomic, attack)
+        assert "s" in evaluate_attack(fig_atomic, attack).attacked_services
 
     def test_empty_target_rejected(self, fig_atomic):
         with pytest.raises(InputError):
@@ -147,15 +148,12 @@ class TestExactArithmetic:
         net = Network(("v1", "v2"), ("s",), {"v1": 1, "v2": 1},
                       {("v1", "s"): 1, ("v2", "s"): 1}, {"s": 0.5}, {"s": 5})
         template = SweepTemplate(3, 3, 1 / 3)
-        attack = evaluate_attack(net, Attack(stake_used={("v1", "s"): 1}))
         for decide in (
             lambda: find_beta_costly(net, budget, 0),
             lambda: mip_check(net, budget, 0),
             lambda: oracle_check(net, budget, 0),
-            lambda: max_byzantine_fraction(net, budget),
             lambda: min_stake_for(template, 1.0, budget, 0),
             lambda: min_stake_mip(template, 1.0, budget, 0),
-            lambda: is_beta_costly(attack, budget),
         ):
             with pytest.raises(InputError, match="budget"):
                 decide()
@@ -252,6 +250,11 @@ class TestMinBudgetBruteforce:
     def test_insecure_clamps_to_zero(self, half_allocated):
         assert min_budget_bruteforce(half_allocated) == 0
 
+    def test_no_services_withstands_any_budget(self):
+        # Nothing to attack: the oracle answers as the budget program does.
+        net = Network(("v",), (), {"v": 1}, {}, {}, {})
+        assert min_budget_bruteforce(net) == min_budget(net) == math.inf
+
     def test_agrees_with_mip(self):
         rng = random.Random(73)
         for _ in range(20):
@@ -297,8 +300,8 @@ class TestReductions:
             build_divisible_reduction([1, 2], 0)
 
     def test_indivisible_attack_flag(self, fig_atomic):
-        assert Attack(stake_used={("v1", "s"): 20}).is_indivisible(fig_atomic)
-        assert not Attack(stake_used={("v1", "s"): 10}).is_indivisible(fig_atomic)
+        assert is_indivisible(Attack(stake_used={("v1", "s"): 20}), fig_atomic)
+        assert not is_indivisible(Attack(stake_used={("v1", "s"): 10}), fig_atomic)
 
     def test_faithfulness_spot_checks(self):
         rng = random.Random(74)

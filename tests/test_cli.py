@@ -222,6 +222,27 @@ class TestCheck:
         assert "f=1.000000" in out
         assert code == main(["check", path, "--budget", "14", "--fraction", "1"])
 
+    @pytest.mark.parametrize("flags, shown", [
+        (["--budget", "1e308"], "(f=0.000000, budget=1e+308)"),
+        (["--budget", "1e15"], "(f=0.000000, budget=1000000000000000.0)"),
+        (["--fraction", "1e-320"], "(f=1e-320, budget=0.000000)"),
+        (["--fraction", "4e-7", "--budget", "2.5"], "(f=4e-07, budget=2.500000)"),
+        (["--fraction", "6e-7", "--budget", "999999999999999"],
+         "(f=0.000001, budget=999999999999999.000000)"),
+    ])
+    def test_verdict_shows_its_fraction_and_budget(self, tmp_path, capsys, flags, shown):
+        # Six decimals where they show the value; repr for a nonzero value
+        # that they round to 0, or one of 1e15 or more.
+        payload = {
+            "validators": [{"id": v, "stake": 10} for v in ("v1", "v2")],
+            "services": [{"id": s, "threshold": 0.5, "prize": 1} for s in ("a", "b")],
+            "allocations": [{"validator": v, "service": s, "amount": 5}
+                            for v in ("v1", "v2") for s in ("a", "b")],
+        }
+        main(["check", write(tmp_path, "net.json", payload), *flags])
+        verdict = capsys.readouterr().out.splitlines()[0]
+        assert f"{shown}-robust (engines: symmetric)" in verdict
+
     def test_symmetric_witness_names_file_validators(self, tmp_path, capsys):
         payload = json.loads(json.dumps(FIG_ATOMIC).replace('"v1"', '"alice"')
                              .replace('"v2"', '"bob"'))

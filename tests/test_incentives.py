@@ -14,7 +14,6 @@ from restaking.incentives import (
     best_response,
     equilibrium_allocations,
     formation_utility,
-    validator_reward,
 )
 from restaking.model import InputError, Network, restaking_degree
 
@@ -69,10 +68,13 @@ def test_reward_pools_own_their_rewards():
 
 
 class TestValidatorReward:
+    """A validator's reward from one pooled service, as formation_utility
+    sums it over services."""
+
     def test_degree_at_target_is_paid(self):
         pools = RewardPools(reward={"a": 2.0}, target_degree=1.0)
         net = network_with({("v1", "a"): 4, ("v2", "a"): 4}, {"v1": 4, "v2": 4}, ("a",))
-        assert validator_reward(net, pools, "v1", "a") == pytest.approx(1.0)
+        assert formation_utility(net, pools, "v1") == pytest.approx(1.0)
 
     def test_degree_above_target_pays_nothing(self):
         pools = RewardPools(reward={"a": 2.0, "b": 2.0}, target_degree=1.0)
@@ -81,17 +83,17 @@ class TestValidatorReward:
             {"v1": 4, "v2": 4},
             ("a", "b"),
         )
-        assert validator_reward(net, pools, "v1", "a") == 0
+        assert formation_utility(net, pools, "v1") == 0
 
     def test_sole_allocator_collects_full_pool(self):
         pools = RewardPools(reward={"a": 3.0}, target_degree=1.0)
         net = network_with({("v1", "a"): 2}, {"v1": 4, "v2": 4}, ("a",))
-        assert validator_reward(net, pools, "v1", "a") == pytest.approx(3.0)
+        assert formation_utility(net, pools, "v1") == pytest.approx(3.0)
 
     def test_zero_allocation_service_pays_zero(self):
         pools = RewardPools(reward={"a": 3.0}, target_degree=1.0)
         net = network_with({}, {"v1": 4}, ("a",))
-        assert validator_reward(net, pools, "v1", "a") == 0
+        assert formation_utility(net, pools, "v1") == 0
 
 
 class TestFormationUtility:

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from restaking import mip
-from restaking.bruteforce import best_attack, min_budget_bruteforce
+from restaking.bruteforce import best_attack, min_budget_bruteforce, oracle_check
 from restaking.lp import OPTIMAL, LpProblem, solve_lp
 from restaking.mip import (
     MipProblem,
     MipStatusError,
     build_budget_mip,
     max_attack_profit,
-    max_byzantine_fraction,
     min_budget,
     mip_check,
     solve_mip,
@@ -24,12 +23,12 @@ from restaking.mip import (
 from restaking.model import (
     Network,
     apply_byzantine,
+    attackable,
     byzantine_choices,
     byzantine_subsets,
     evaluate_attack,
     generalized_eigenlayer_condition,
     service_weight,
-    total_byzantine_weight,
 )
 from restaking.symmetry import SweepTemplate, max_budget
 
@@ -161,43 +160,63 @@ class TestMinBudget:
             assert min_budget(net) == pytest.approx(float(exact), rel=0, abs=1e-9 * scale)
 
 
+def breaking_weight(net, budget):
+    """The least weight of a Byzantine subset after which the exhaustive
+    attack search clears the budget, or inf; a subset that leaves no service
+    leaves nothing to attack and does not break the network."""
+    best = math.inf
+    for subset in byzantine_subsets(net, math.inf):
+        slashed = apply_byzantine(net, subset)
+        if slashed.services and attackable(best_attack(slashed)[0], budget):
+            best = min(best, sum(service_weight(net, s) for s in subset))
+    return best
+
+
+def just_below(cap):
+    """A cap that admits no subset of weight cap, past the 1e-9 tie rule."""
+    return cap * (1 - 1e-6)
+
+
 class TestByzantineMip:
-    """Breaking Byzantine weights, read off max_byzantine_fraction."""
+    """Breaking Byzantine weights: mip_check finds a violation at the
+    breaking weight cap and none just below it."""
 
     def test_one_byzantine_service_breaks(self):
         # Intact margins stay above 2, but one Byzantine service slashes the
         # stake to 3 and a single-service attack then costs 3 = prize + 2:
         # the breaking weight is one service of three.
-        fraction = max_byzantine_fraction(three_by_three(), 2)
-        assert fraction == pytest.approx(1 / 3, abs=1e-5)
-        assert fraction < 1 / 3
+        net = three_by_three()
+        one = service_weight(net, "a")
+        byzantine, _ = mip_check(net, 2, one)
+        assert len(byzantine) == 1
+        assert mip_check(net, 2, just_below(one)) is None
 
     def test_attackable_network_needs_no_byzantine(self, half_allocated):
-        assert max_byzantine_fraction(half_allocated, 10) == 0.0
+        # Attackable intact: the first choice, the empty one, breaks it
+        # under any cap.
+        for cap in (0, math.inf):
+            byzantine, _ = mip_check(half_allocated, 10, cap)
+            assert byzantine == ()
 
     def test_all_base_and_robust_is_infeasible(self, fig_atomic):
         # No service may turn Byzantine, and the intact network withstands
         # the budget: no Byzantine set breaks it.
-        net = Network(
-            validators=fig_atomic.validators,
-            services=fig_atomic.services,
-            stake=fig_atomic.stake,
-            allocation=fig_atomic.allocation,
-            threshold=fig_atomic.threshold,
-            prize=fig_atomic.prize,
-            base_services=frozenset({"s"}),
-        )
-        assert max_byzantine_fraction(net, 10) == 1.0
+        net = dataclasses.replace(fig_atomic, base_services=frozenset({"s"}))
+        assert mip_check(net, 10, math.inf) is None
 
 
 class TestMaxByzantineFraction:
+    """The largest Byzantine weight a network tolerates, read off mip_check
+    at weight caps around it."""
+
     def test_intact_network_already_attackable(self, half_allocated):
-        assert max_byzantine_fraction(half_allocated, 0) == 0.0
+        byzantine, _ = mip_check(half_allocated, 0, 0)
+        assert byzantine == ()
 
     def test_two_byzantine_services_needed(self):
         # At budget 1/2, one Byzantine service leaves margins above the
         # budget but two wipe the stake entirely: the breaking weight is two
-        # services, so the tolerated fraction sits just below 2/3.
+        # services.
         net = three_by_three()
         budget = 0.5
         # independent oracle: slash k services and ask the budget program
@@ -213,14 +232,16 @@ class TestMaxByzantineFraction:
                 breaking = k
                 break
         assert breaking == 2
-        fraction = max_byzantine_fraction(net, budget)
-        assert fraction == pytest.approx(2 / 3, abs=1e-5)
-        assert fraction < 2 / 3
+        two = 2 * service_weight(net, "a")
+        byzantine, _ = mip_check(net, budget, two)
+        assert len(byzantine) == 2
+        assert mip_check(net, budget, just_below(two)) is None
 
     def test_general_path_matches_enumeration(self):
-        # Brute-force reference: the lightest Byzantine subset after which
-        # the exhaustive attack search clears the budget; turning every
-        # service Byzantine counts as breaking only at budget 0.
+        # At the breaking weight of the exhaustive search, mip_check and the
+        # oracle find the same first violation, of that weight; below a
+        # positive one, or at any cap when nothing breaks the network,
+        # neither does.
         rng = random.Random(79)
         checked = 0
         while checked < 12:
@@ -229,42 +250,39 @@ class TestMaxByzantineFraction:
             if len(net.services) < 2:
                 continue  # one base service would leave no weight at all
             if checked % 2:
-                net = Network(
-                    validators=net.validators, services=net.services,
-                    stake=net.stake, allocation=net.allocation,
-                    threshold=net.threshold, prize=net.prize,
-                    base_services=frozenset({rng.choice(net.services)}),
-                )
+                net = dataclasses.replace(
+                    net, base_services=frozenset({rng.choice(net.services)}))
             if best_attack(net)[0] >= 0:
                 continue  # not secure when intact
             checked += 1
-            total = total_byzantine_weight(net)
             for budget in (0.0, 0.25):
-                best = total if budget == 0 and not net.base_services else math.inf
-                for subset in byzantine_subsets(net, math.inf):
-                    slashed = apply_byzantine(net, subset)
-                    if slashed.services and best_attack(slashed)[0] >= -budget - 1e-9:
-                        best = min(best, sum(service_weight(net, s) for s in subset))
-                expected = 1.0 if math.isinf(best) else max(0.0, (best - 1e-6) / total)
-                assert max_byzantine_fraction(net, budget) == pytest.approx(
-                    expected, abs=1e-6)
+                best = breaking_weight(net, budget)
+                if math.isinf(best):
+                    assert mip_check(net, budget, math.inf) is None
+                    assert oracle_check(net, budget, math.inf) is None
+                    continue
+                byzantine, _ = mip_check(net, budget, best)
+                assert byzantine == oracle_check(net, budget, best)[0]
+                assert sum(service_weight(net, s) for s in byzantine) == pytest.approx(best)
+                if best > 0:
+                    assert mip_check(net, budget, just_below(best)) is None
+                    assert oracle_check(net, budget, just_below(best)) is None
 
     def test_robust_for_all_fractions(self, fig_atomic):
-        # At a positive budget the all-Byzantine collapse branch is off, and
-        # no Byzantine set makes the attack cheap enough.
-        assert max_byzantine_fraction(fig_atomic, 1) == 1.0
-
-    def test_collapse_counts_as_failure_at_budget_zero(self, fig_atomic):
-        # Turning every service Byzantine is a failure state of the weight
-        # program at budget 0, so the tolerated fraction sits just below 1.
-        value = max_byzantine_fraction(fig_atomic, 0)
-        assert 0.999 < value < 1.0
+        # Turning its one service Byzantine leaves nothing to attack, so no
+        # Byzantine set makes an attack cheap enough, at budget 0 as at 1.
+        for budget in (0, 1):
+            assert mip_check(fig_atomic, budget, math.inf) is None
 
     def test_non_increasing_in_budget(self):
+        # A violation at some budget and cap is one at every larger budget.
         net = three_by_three()
+        caps = [k * service_weight(net, "a") for k in range(4)]
         budgets = [0.0, 0.5, 1.0, 2.0, 5.0]
-        values = [max_byzantine_fraction(net, b) for b in budgets]
-        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+        broken = [[mip_check(net, b, cap) is not None for cap in caps] for b in budgets]
+        for smaller, larger in zip(broken, broken[1:]):
+            assert all(x <= y for x, y in zip(smaller, larger))
+        assert broken[0] != broken[-1]
 
 
 class TestSolveMip:
@@ -460,14 +478,13 @@ class TestProfitBound:
 
     def test_bound_changes_no_answer(self, monkeypatch):
         # With the bound never below the target, every choice goes to the
-        # budget program; mip_check and max_byzantine_fraction answer the same.
+        # budget program; mip_check answers the same.
         rng = random.Random(126)
         nets = [random_network(rng) for _ in range(40)]
         cases = [(net, budget) for net in nets for budget in (0, 0.5, 2)]
 
         def answers():
-            return [(mip_check(net, budget, math.inf), max_byzantine_fraction(net, budget))
-                    for net, budget in cases]
+            return [mip_check(net, budget, math.inf) for net, budget in cases]
 
         bounded = answers()
         monkeypatch.setattr(mip, "_profit_bound", lambda net: math.inf)

@@ -14,14 +14,13 @@ from restaking.model import (
     InputError,
     Network,
     apply_byzantine,
-    attacked_services,
+    attackable,
     byzantine_choices,
     byzantine_subsets,
     byzantine_weight_cap,
     eigenlayer_condition,
     evaluate_attack,
     generalized_eigenlayer_condition,
-    is_beta_costly,
     prize_shares,
     restaking_degree,
     robustness_utility,
@@ -61,14 +60,15 @@ class TestRestakingDegree:
 class TestAttackedServices:
     def test_full_allocation_attack(self, half_allocated):
         attack = Attack(stake_used={("v", "s"): 1})
-        assert attacked_services(half_allocated, attack) == {"s"}
+        assert evaluate_attack(half_allocated, attack).attacked_services == {"s"}
 
     def test_all_zero_attack_positive_allocations(self, fig_atomic):
-        assert attacked_services(fig_atomic, Attack(stake_used={})) == frozenset()
+        attack = Attack(stake_used={})
+        assert evaluate_attack(fig_atomic, attack).attacked_services == frozenset()
 
     def test_one_of_two_validators_meets_half(self, fig_atomic):
         attack = Attack(stake_used={("v1", "s"): 20})
-        assert attacked_services(fig_atomic, attack) == {"s"}
+        assert evaluate_attack(fig_atomic, attack).attacked_services == {"s"}
 
     def test_zero_allocation_service_is_attacked_for_free(self):
         net = Network(
@@ -79,13 +79,13 @@ class TestAttackedServices:
             threshold={"s": 0.9},
             prize={"s": 1},
         )
-        assert attacked_services(net, Attack(stake_used={})) == {"s"}
+        assert evaluate_attack(net, Attack(stake_used={})).attacked_services == {"s"}
 
     def test_unknown_ids_rejected(self, fig_atomic):
         with pytest.raises(InputError):
-            attacked_services(fig_atomic, Attack(stake_used={("v1", "zzz"): 1}))
+            evaluate_attack(fig_atomic, Attack(stake_used={("v1", "zzz"): 1}))
         with pytest.raises(InputError):
-            attacked_services(fig_atomic, Attack(stake_used={("zzz", "s"): 1}))
+            evaluate_attack(fig_atomic, Attack(stake_used={("zzz", "s"): 1}))
 
 
 class TestEvaluateAttack:
@@ -102,7 +102,7 @@ class TestEvaluateAttack:
     def test_half_allocated_profitable(self, half_allocated):
         ev = evaluate_attack(half_allocated, Attack(stake_used={("v", "s"): 1}))
         assert ev.total_cost == 1 and ev.total_prize == 1
-        assert is_beta_costly(ev, 0)
+        assert beta_costly(ev, 0)
 
     def test_stake_aimed_at_unattacked_service_is_free(self):
         # Two services; aiming below threshold at s2 must not be charged.
@@ -123,7 +123,7 @@ class TestPrizeShares:
     def test_single_payer_takes_all(self, fig_atomic):
         ev = evaluate_attack(fig_atomic, Attack(stake_used={("v1", "s"): 20}))
         shares = prize_shares(fig_atomic, ev)
-        assert shares.share == {"v1": 1.0, "v2": 0.0}
+        assert shares == {"v1": 1.0, "v2": 0.0}
 
     def test_zero_cost_split_evenly(self):
         validators = tuple(f"v{i}" for i in range(4))
@@ -137,7 +137,7 @@ class TestPrizeShares:
         )
         ev = evaluate_attack(net, Attack(stake_used={}))
         shares = prize_shares(net, ev)
-        assert all(share == 0.25 for share in shares.share.values())
+        assert all(share == 0.25 for share in shares.values())
 
     def test_proportional_split(self):
         # Costs 1 and 3 -> shares 1/4 and 3/4.
@@ -151,7 +151,7 @@ class TestPrizeShares:
         )
         ev = evaluate_attack(net, Attack(stake_used={("a", "s"): 1, ("b", "s"): 3}))
         shares = prize_shares(net, ev)
-        assert shares.share["a"] == 0.25 and shares.share["b"] == 0.75
+        assert shares["a"] == 0.25 and shares["b"] == 0.75
 
 
 class TestUtilities:
@@ -185,7 +185,7 @@ class TestUtilities:
                 for v in net.validators for s in net.services
             })
             ev = evaluate_attack(net, attack)
-            shares = prize_shares(net, ev).share
+            shares = prize_shares(net, ev)
             for v in net.validators:
                 game = shares[v] * ev.total_prize - ev.validator_cost[v]
                 assert robustness_utility(net, attack, v, 0) == game
@@ -196,22 +196,27 @@ class TestUtilities:
                 robustness_utility(fig_atomic, Attack(stake_used={}), "v1", budget)
 
 
+def beta_costly(ev: AttackEvaluation, budget) -> bool:
+    """Something was attacked and the prize plus a budget covers the cost."""
+    return bool(ev.attacked_services) and attackable(ev.margin, budget)
+
+
 class TestProfitability:
     def test_breakeven_pays_at_budget_zero(self, half_allocated):
         ev = evaluate_attack(half_allocated, Attack(stake_used={("v", "s"): 1}))
-        assert is_beta_costly(ev, 0)
+        assert beta_costly(ev, 0)
 
     def test_empty_attacked_set_is_not(self, fig_atomic):
-        assert not is_beta_costly(evaluate_attack(fig_atomic, Attack(stake_used={})), 0)
+        assert not beta_costly(evaluate_attack(fig_atomic, Attack(stake_used={})), 0)
 
     def test_costly_attack_is_not_profitable(self, fig_atomic):
         ev = evaluate_attack(fig_atomic, Attack(stake_used={("v1", "s"): 20}))
-        assert not is_beta_costly(ev, 0)
+        assert not beta_costly(ev, 0)
 
     def test_beta_costly_boundary(self, fig_atomic):
         ev = evaluate_attack(fig_atomic, Attack(stake_used={("v1", "s"): 20}))
-        assert is_beta_costly(ev, 15)
-        assert not is_beta_costly(ev, 14.999)
+        assert beta_costly(ev, 15)
+        assert not beta_costly(ev, 14.999)
 
     def test_budget_zero_coincides_with_profitable(self):
         # Budget 0 asks whether the attack pays: something is attacked and
@@ -219,11 +224,11 @@ class TestProfitability:
         def ev(cost, prize, attacked=frozenset({"s"})):
             return AttackEvaluation(attacked, {}, cost, prize, prize - cost)
 
-        assert is_beta_costly(ev(1.0 + 1e-10, 1.0), 0)
-        assert not is_beta_costly(ev(1.0 + 1e-8, 1.0), 0)
-        assert not is_beta_costly(ev(0, 1, frozenset()), 0)
-        assert is_beta_costly(ev(Fraction(1), Fraction(1)), 0)
-        assert not is_beta_costly(ev(1 + Fraction(1, 10**12), Fraction(1)), 0)
+        assert beta_costly(ev(1.0 + 1e-10, 1.0), 0)
+        assert not beta_costly(ev(1.0 + 1e-8, 1.0), 0)
+        assert not beta_costly(ev(0, 1, frozenset()), 0)
+        assert beta_costly(ev(Fraction(1), Fraction(1)), 0)
+        assert not beta_costly(ev(1 + Fraction(1, 10**12), Fraction(1)), 0)
 
 
 class TestApplyByzantine:
@@ -467,7 +472,7 @@ class TestModelInvariants:
                 }
             )
             shares = prize_shares(net, evaluate_attack(net, attack))
-            assert abs(sum(shares.share.values()) - 1) <= 1e-9
+            assert abs(sum(shares.values()) - 1) <= 1e-9
 
     def test_slashing_disjoint_sets(self):
         rng = random.Random(10)

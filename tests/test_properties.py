@@ -97,7 +97,7 @@ def test_costs_capped_by_stake_and_aim(case):
 def test_shares_always_normalize(case):
     net, attack = case
     shares = prize_shares(net, evaluate_attack(net, attack))
-    assert abs(sum(shares.share.values()) - 1.0) <= 1e-9
+    assert abs(sum(shares.values()) - 1.0) <= 1e-9
 
 
 @settings(max_examples=100, deadline=None)
