@@ -14,9 +14,10 @@ solver error (including engine disagreement, which is itself a
 cross-validation feature, printed with every engine's verdict and the
 witness of each engine that found one). All numbers print with six
 decimals, matching the 1e-6 solve precision, but for an f or budget in the
-verdict that six decimals would hide, printed by ``repr``. Reported safe
-budgets are open upper bounds: a network robust "at budget b" withstands any
-budget strictly below the failure point.
+verdict that six decimals would hide, printed by ``repr``, and a zero one
+with no sign. Warnings print as ``warning: <message>`` lines on stderr.
+Reported safe budgets are open upper bounds: a network robust "at budget b"
+withstands any budget strictly below the failure point.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import functools
 import inspect
 import math
 import sys
+import warnings
 from collections.abc import Callable
 from dataclasses import replace
 from itertools import islice
@@ -62,9 +64,9 @@ def _fmt(x) -> str:
 
 
 def _fmt_shown(x) -> str:
-    """:func:`_fmt`, or ``repr`` where six decimals would hide the value: a
-    nonzero value that rounds to 0, or one of 1e15 or more."""
-    text = _fmt(x)
+    """:func:`_fmt` with no sign on a zero, or ``repr`` where six decimals
+    would hide the value: a nonzero value that rounds to 0, or one of 1e15+."""
+    text = _fmt(x if x != 0 else 0.0)
     if (x != 0 and float(text) == 0) or abs(x) >= 1e15:
         return repr(float(x))
     return text
@@ -218,7 +220,7 @@ def _preset_fig3(sizes=(10, 11, 12), thresholds=(1 / 3, 0.5), degree_step=0.1):
 
 
 def _preset_fig4(n=15, budgets=(0, 1, 2), degree_step=0.25, degree_max=6.0):
-    degrees = exp.degree_grid(n, degree_step, 1.0, degree_max)
+    degrees = exp.degree_grid(n, degree_step, degree_max)
     out = []
     for last, base, suffix in ((9, None, ""), (10, (10.0, 1 / 3), "_base_service_10_0.33")):
         tables = exp.sweep_min_stake_robustness(
@@ -252,9 +254,7 @@ def _preset_fig7(budgets=(0, 1, 2), degrees=(1.0, 1.5, 2.0, 2.5, 3.0),
 def _preset_fig8(budgets=(0, 1, 2), degrees=(1.0, 1.5, 2.0, 2.5, 3.0),
                  f_grid=(0.0, 1 / 3, 1 / 2, 2 / 3)):
     tables = exp.sweep_min_stake_robustness(
-        3, 3, 1 / 3, 1.0, budgets, f_grid, degrees, base=(10.0, 0.5),
-        engine=exp.min_stake_mip,
-    )
+        3, 3, 1 / 3, 1.0, budgets, f_grid, degrees, base=(10.0, 0.5))
     return [
         (f"figure8_y_stake_base_service_10_0.50_loss_threshold_{budget:g}.csv", table)
         for budget, table in tables.items()
@@ -475,14 +475,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (InputError, NotSymmetricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (mipmod.MipStatusError, mipmod.MipNodeLimitError) as exc:
-        print(f"error: solver failed: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (InputError, NotSymmetricError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (mipmod.MipStatusError, mipmod.MipNodeLimitError) as exc:
+            print(f"error: solver failed: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ or robustness_threshold) and whose remaining columns are named
 min_stake_threshold_<label> or min_budget_<label>, so reproduced figures
 diff cleanly against expectations.
 
+A minimum-stake cell takes ``restaking check``'s engine: the closed form on a
+symmetric template, else :func:`min_stake_mip` (:func:`_min_stake`); only
+:func:`sweep_mip_vs_theory`, which compares the two, names both.
+
 A cell whose configuration is unsatisfiable at any stake (slashing can wipe
 the entire stake regardless of its size) is emitted as nan.
 """
@@ -29,7 +33,7 @@ from .model import (
     byzantine_choices,
     byzantine_weight_cap,
 )
-from .symmetry import SweepTemplate, _stake_ratio, max_budget, min_stake_for
+from .symmetry import NotSymmetricError, SweepTemplate, _stake_ratio, max_budget, min_stake_for
 
 __all__ = [
     "Table",
@@ -90,23 +94,22 @@ def _rows(fn: Callable, xs: Sequence, ys: Sequence, task: Callable) -> list[list
 _MAX_DEGREES = 10**5
 
 
-def degree_grid(n_services: int, step: float = 0.1, lo: float = 1.0,
-                 hi: float | None = None) -> list[float]:
-    """Degrees lo, lo + step, ... up to hi (n_services when None), rounded to
+def degree_grid(n_services: int, step: float = 0.1, hi: float | None = None) -> list[float]:
+    """Degrees 1, 1 + step, ... up to hi (n_services when None), rounded to
     10 decimals; InputError for a step that is not positive and finite, an
     end that is not finite or lies above n_services, where every cell would
     fail, or more than _MAX_DEGREES degrees."""
     hi = n_services if hi is None else hi
-    if not (_finite(step) and step > 0 and _finite(lo) and _finite(hi)):
-        raise InputError("degree grid needs a positive finite step and finite ends")
+    if not (_finite(step) and step > 0 and _finite(hi)):
+        raise InputError("degree grid needs a positive finite step and a finite end")
     if hi > n_services:
         raise InputError("degree must lie in [0, n_services] for the uniform allocation")
-    if (hi - lo) / step >= _MAX_DEGREES:
+    if (hi - 1) / step >= _MAX_DEGREES:
         raise InputError(f"degree grid would hold more than {_MAX_DEGREES} degrees")
     grid = []
     k = 0
     while True:
-        d = lo + k * step
+        d = 1 + k * step
         if d > hi + 1e-12:
             break
         grid.append(round(d, 10))
@@ -159,22 +162,19 @@ def sweep_min_stake_robustness(
     f_grid: Sequence[float],
     degree_grid: Sequence[float] | None = None,
     base: tuple[float, float] | None = None,
-    engine: Callable[[SweepTemplate, float, float, float], float] = min_stake_for,
 ) -> dict[float, Table]:
     """Minimum stake for (f, budget)-robustness; one table per budget.
 
     The base variant adds a service (prize, threshold) to which every
-    validator allocates their entire stake. Each cell is
-    ``engine(template, degree, budget, f)``: the closed form by default, or
-    :func:`min_stake_mip` for a base whose threshold differs from the common
-    one, which puts the network outside the closed form.
+    validator allocates their entire stake. Each cell is :func:`_min_stake`:
+    the closed form, or the MIPs for a base whose threshold differs.
     """
     base_prize, base_threshold = base or (None, None)
     template = SweepTemplate(
         n_validators=n, n_services=m, threshold=threshold, prize=prize,
         base_prize=base_prize, base_threshold=base_threshold,
     )
-    return _min_stake_tables(engine, template, budgets, f_grid, _degrees(degree_grid, m))
+    return _min_stake_tables(_min_stake, template, budgets, f_grid, _degrees(degree_grid, m))
 
 
 def _budget_cell(template: SweepTemplate, stake, degree, f) -> float:
@@ -283,6 +283,14 @@ def min_stake_mip(
         if math.isinf(stake):
             return math.nan
     return stake
+
+
+def _min_stake(template: SweepTemplate, degree, budget, f) -> float:
+    """min_stake_for, or min_stake_mip on a template the closed form refuses."""
+    try:
+        return min_stake_for(template, degree, budget, f)
+    except NotSymmetricError:
+        return min_stake_mip(template, degree, budget, f)
 
 
 def sweep_mip_vs_theory(

@@ -15,9 +15,12 @@ Every engine closes its check with that one rule, :func:`attackable`.
 
 Byzantine choices: :func:`byzantine_subsets` lists every admissible subset,
 the reference; :func:`byzantine_choices` yields one per count vector over
-classes of interchangeable services from the generator that the closed form
-in ``symmetry`` reduces as well, so every engine visits the same choices in
-order. Every engine slashes a choice by one rule, that of
+classes of interchangeable services (equal threshold, prize and allocation
+column) in :func:`byzantine_subsets` order. The closed form in ``symmetry``
+reduces the same generator over classes of equal prize and first
+validator's allocation: on a network symmetric only within its 1e-12
+tolerance these can be coarser, and it visits an in-order subset of the
+others' choices. Every engine slashes a choice by one rule, that of
 :func:`apply_byzantine`: the closed form applies it to one validator's
 stake and allocation row, the other engines call it.
 
@@ -210,7 +213,7 @@ class Network:
                 warnings.warn(
                     f"service {s!r} has threshold 0: it can be attacked for free "
                     "and is never selectable as Byzantine for a finite cap",
-                    stacklevel=2,
+                    stacklevel=3,  # past the generated __init__, at its caller
                 )
 
     @classmethod

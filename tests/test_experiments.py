@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restaking import experiments
 from restaking.bruteforce import best_attack
 from restaking.experiments import (
     Table,
@@ -138,18 +139,38 @@ class TestMipVsTheory:
     def test_fig8_configuration_populates(self):
         tables = sweep_min_stake_robustness(
             3, 3, 1 / 3, 1.0, budgets=[0], f_grid=[0.0, 1 / 3, 1 / 2],
-            degree_grid=[1.5], base=(10.0, 0.5), engine=min_stake_mip,
+            degree_grid=[1.5], base=(10.0, 0.5),
         )
         table = tables[0]
         row = table.rows[0]
         assert all(isinstance(v, float) and v > 0 for v in row[1:])
+
+    def test_cells_take_the_mip_only_where_the_closed_form_refuses(self, monkeypatch):
+        # As `restaking check` decides: a base at the common threshold stays
+        # in the closed form, and fig8's base at 0.5 goes to the MIPs.
+        calls = []
+
+        def counted(*cell):
+            calls.append(cell)
+            return min_stake_mip(*cell)
+
+        monkeypatch.setattr(experiments, "min_stake_mip", counted)
+        grid = dict(budgets=[0, 1], f_grid=[0.0, 1 / 3], degree_grid=[1.0, 2.0])
+        sweep_min_stake_robustness(3, 3, 1 / 3, 1.0, base=(10.0, 1 / 3), **grid)
+        assert calls == []
+        tables = sweep_min_stake_robustness(3, 3, 1 / 3, 1.0, base=(10.0, 0.5), **grid)
+        fig8 = SweepTemplate(3, 3, 1 / 3, 1.0, 10.0, 0.5)
+        assert calls == [(fig8, d, b, f) for b in (0, 1) for d in (1.0, 2.0)
+                         for f in (0.0, 1 / 3)]
+        assert [v for b in (0, 1) for row in tables[b].rows for v in row[1:]] == [
+            min_stake_mip(*cell) for cell in calls]
 
     def test_f_third_and_half_coincide_with_base(self):
         # With three weight-3 services, caps 3 and 4.5 admit the same
         # Byzantine sets, so the stake requirements must coincide.
         tables = sweep_min_stake_robustness(
             3, 3, 1 / 3, 1.0, budgets=[1], f_grid=[1 / 3, 1 / 2],
-            degree_grid=[1.0, 2.0], base=(10.0, 0.5), engine=min_stake_mip,
+            degree_grid=[1.0, 2.0], base=(10.0, 0.5),
         )
         table = tables[1]
         third = table.column("min_stake_threshold_0.33")
@@ -210,11 +231,13 @@ def test_degree_grid_bounds():
     assert len(grid) == 5
 
 
-@pytest.mark.parametrize("step, lo, hi", [
-    (0, 1.0, None), (-0.5, 1.0, None), (math.nan, 1.0, None), (math.inf, 1.0, None),
-    (0.5, math.nan, None), (0.5, -math.inf, None), (0.5, 1.0, math.nan), (0.5, 1.0, math.inf),
-    (1e-300, 1.0, None),
-])
-def test_degree_grid_that_never_ends_is_refused(step, lo, hi):
+NEVER_ENDING_GRIDS = [(0, None), (-0.5, None), (math.nan, None), (math.inf, None),
+                      (0.5, math.nan), (0.5, math.inf), (1e-300, None)]
+
+
+# Each id reads step-start-end; every grid starts at 1.
+@pytest.mark.parametrize("step, hi", NEVER_ENDING_GRIDS,
+                         ids=[f"{step}-1.0-{hi}" for step, hi in NEVER_ENDING_GRIDS])
+def test_degree_grid_that_never_ends_is_refused(step, hi):
     with pytest.raises(InputError, match="degree grid"):
-        degree_grid(3, step, lo, hi)
+        degree_grid(3, step, hi)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -554,6 +555,15 @@ def test_totals_beyond_float_range_rejected(big):
         Network(validators=("a",), services=("s", "t"), stake={"a": 1.0},
                 allocation={("a", "s"): 1.0}, threshold={"s": 0.5, "t": 0.5},
                 prize={"s": big, "t": big})
+
+
+def test_threshold_zero_warning_names_the_callers_line():
+    fields = dict(validators=("v",), services=("s",), stake={"v": 1.0}, allocation={},
+                  threshold={"s": 0}, prize={"s": 1.0})
+    with pytest.warns(UserWarning, match="service 's' has threshold 0") as caught:
+        Network(**fields)
+    line = inspect.currentframe().f_lineno - 1
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
 
 
 def unchecked_path_networks(rng: random.Random) -> list[Network]:
